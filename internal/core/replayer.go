@@ -16,10 +16,15 @@ import (
 // completions have been broadcast, so that transactions recorded as
 // concurrent (same cycle packet) are re-offered in the same cycle rather
 // than skewed by module iteration order.
+//
+// The coordinator is tick-gated: it sleeps until a completion is broadcast
+// or the decoder releases a packet, the only two events that can unpark a
+// replayer (see TickStable).
 type Coordinator struct {
 	sim.NullEval
 	tcur      vclock.Clock
 	replayers []*Replayer
+	tickWake  func()
 }
 
 // NewCoordinator creates a coordinator over n channels.
@@ -37,7 +42,34 @@ func (c *Coordinator) Tick() {
 }
 
 // Completed broadcasts that a transaction completed on channel ci.
-func (c *Coordinator) Completed(ci int) { c.tcur.Inc(ci) }
+func (c *Coordinator) Completed(ci int) {
+	c.tcur.Inc(ci)
+	c.wake()
+}
+
+func (c *Coordinator) wake() {
+	if c.tickWake != nil {
+		c.tickWake()
+	}
+}
+
+// BindTickWake implements sim.TickWakeable; completions and packet releases
+// wake the coordinator.
+func (c *Coordinator) BindTickWake(wake func()) { c.tickWake = wake }
+
+// TickWatch implements sim.TickSensitive: the coordinator has no channels of
+// its own; replayers and the decoder wake it.
+func (c *Coordinator) TickWatch() []*sim.Channel { return nil }
+
+// TickStable implements sim.TickSensitive. One Tick runs every replayer's
+// processing phase to a fixpoint: processing changes only the replayer's
+// own state, never T_current or the released count, so no replayer can
+// unpark another within the pass. Each replayer then waits on a completion
+// (the T_current gate, an active offer, an unmatched End, an asserted
+// READY) or on a packet release (idx == released), and both wake the
+// coordinator. Registered after the decoder and the replayers in the same
+// partition, it runs in the very cycle of the wake.
+func (c *Coordinator) TickStable() bool { return true }
 
 // Current returns the shared T_current clock.
 func (c *Coordinator) Current() vclock.Clock { return c.tcur }
@@ -53,6 +85,7 @@ type Decoder struct {
 	meta  *trace.Meta
 	tr    *trace.Trace
 	store *Store
+	coord *Coordinator // woken on every packet release
 
 	released int // packets whose bytes have been fetched
 	fetched  int // bytes fetched so far
@@ -63,9 +96,10 @@ type Decoder struct {
 	fetchStalls uint64
 }
 
-// NewDecoder creates a decoder over tr fetching through store.
-func NewDecoder(tr *trace.Trace, store *Store) *Decoder {
-	return &Decoder{meta: tr.Meta, tr: tr, store: store}
+// NewDecoder creates a decoder over tr fetching through store and waking
+// coord as packets are released.
+func NewDecoder(tr *trace.Trace, store *Store, coord *Coordinator) *Decoder {
+	return &Decoder{meta: tr.Meta, tr: tr, store: store, coord: coord}
 }
 
 // Name implements sim.Module.
@@ -87,8 +121,16 @@ func (d *Decoder) Tick() {
 		}
 		d.offset += pkt.Size(d.meta)
 		d.released++
+		d.coord.wake()
 	}
 }
+
+// TickWatch implements sim.TickSensitive: the decoder has no channels.
+func (d *Decoder) TickWatch() []*sim.Channel { return nil }
+
+// TickStable implements sim.TickSensitive: the decoder fetches every cycle
+// until the whole trace is released, then never acts again.
+func (d *Decoder) TickStable() bool { return d.Done() }
 
 // Done reports whether the whole trace has been released to the replayers.
 func (d *Decoder) Done() bool { return d.released >= len(d.tr.Packets) }
@@ -149,10 +191,14 @@ type Replayer struct {
 	// item; the counter absorbs that skew.
 	firedPending int
 
-	// gateStalls counts process() passes parked on the happens-before
+	// gateStalls counts trace items that parked on the happens-before
 	// precondition (T_current < T_expected) — the replay-side analogue of
-	// recording back-pressure. Folded into the telemetry sink on scrape.
+	// recording back-pressure. Each item counts once however many passes it
+	// waits, so the total does not depend on how often the kernel ticks the
+	// coordinator. Folded into the telemetry sink on scrape.
 	gateStalls uint64
+	// gateParked marks that the head item is already counted in gateStalls.
+	gateParked bool
 }
 
 // NewReplayer creates the replayer for boundary channel index ci.
@@ -192,6 +238,14 @@ func (r *Replayer) Sensitivity() sim.Sensitivity {
 	return sim.Sensitivity{Drives: r.bc.Env.ReceiverSignals()}
 }
 
+// TickWatch implements sim.TickSensitive: the replayer's Tick acts only on
+// its environment-side channel's handshakes.
+func (r *Replayer) TickWatch() []*sim.Channel { return []*sim.Channel{r.bc.Env} }
+
+// TickStable implements sim.TickSensitive: Tick is a pure reaction to a
+// completion on the watched channel.
+func (r *Replayer) TickStable() bool { return true }
+
 // Tick implements sim.Module: phase A, observe completions on the
 // environment side and broadcast them. Item processing (phase B) runs from
 // the coordinator's Tick once every replayer has broadcast.
@@ -214,7 +268,10 @@ func (r *Replayer) process() {
 	for r.idx < r.dec.released {
 		item := r.dec.ownPacket(r.dec.tr.Packets[r.idx], r.ci)
 		if (item.Start || item.End) && !r.coord.Current().Geq(r.texp) {
-			r.gateStalls++
+			if !r.gateParked {
+				r.gateParked = true
+				r.gateStalls++
+			}
 			return // happens-before precondition not yet satisfied
 		}
 		if item.Start && !r.startIssued {
@@ -254,5 +311,6 @@ func (r *Replayer) process() {
 		}
 		r.idx++
 		r.startIssued = false
+		r.gateParked = false
 	}
 }

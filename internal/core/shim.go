@@ -210,14 +210,15 @@ func NewShim(s *sim.Simulator, b *Boundary, opts Options) (*Shim, error) {
 		sh.repStore = NewStore(opts.StoreBytesPerCycle, opts.Link)
 		sh.repStore.name = "replay-store"
 		sh.coord = NewCoordinator(len(eff.Channels()))
-		sh.decoder = NewDecoder(opts.ReplayTrace, sh.repStore)
+		sh.decoder = NewDecoder(opts.ReplayTrace, sh.repStore, sh.coord)
 		for ci, bc := range eff.Channels() {
 			r := NewReplayer(ci, bc, sh.coord, sh.decoder)
 			sh.replayers = append(sh.replayers, r)
 		}
 		// Order matters: the decoder releases packets, then every replayer
 		// broadcasts the cycle's completions, then the coordinator runs the
-		// processing phase over all replayers.
+		// processing phase over all replayers. Both earlier steps wake the
+		// tick-gated coordinator, so it runs in the same cycle.
 		s.Register(sh.repStore, sh.decoder)
 		for _, r := range sh.replayers {
 			s.Register(r)

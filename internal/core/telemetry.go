@@ -105,7 +105,7 @@ func (sh *Shim) bindTelemetry(s *sim.Simulator, sink *telemetry.Sink) {
 		reps = append(reps, repGather{
 			r: r,
 			gate: sink.Counter("vidi_replay_gate_stalls_total",
-				"Replayer passes parked on the happens-before precondition.",
+				"Trace items that parked on the happens-before precondition (once per item).",
 				telemetry.L("channel", r.bc.Info.Name)),
 		})
 	}

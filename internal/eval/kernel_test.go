@@ -2,12 +2,18 @@ package eval
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"vidi/internal/apps"
+	"vidi/internal/sim"
+	"vidi/internal/telemetry"
+	"vidi/internal/trace"
 )
 
 // goldenRun executes one R2 recording of app under the chosen kernel,
@@ -125,29 +131,122 @@ func TestKernelGoldenWorkerMatrix(t *testing.T) {
 	}
 }
 
-// TestKernelGoldenReplay extends the golden check through a full
-// record/replay cycle: the validation trace an R3 replay records must not
-// depend on which kernel ran the replay.
-func TestKernelGoldenReplay(t *testing.T) {
-	rec, err := Run(RunConfig{App: "dma-irq", Scale: 1, Seed: 7, Cfg: R2, SensitivityCheck: true})
+// replayRun executes one R3 replay of rec under the chosen kernel, dumping
+// the boundary VCD with the sensitivity audit armed, and returns the
+// validation trace bytes, the VCD bytes and the kernel's counters.
+func replayRun(t *testing.T, app string, rec *trace.Trace, legacy bool) (traceBytes, vcdBytes []byte, st sim.Stats) {
+	t.Helper()
+	vcd := filepath.Join(t.TempDir(), "dump.vcd")
+	res, err := Run(RunConfig{
+		App: app, Scale: 1, Seed: 7, Cfg: R3,
+		ReplayTrace: rec, LegacyKernel: legacy, VCDPath: vcd,
+		SensitivityCheck: true,
+	})
+	if err != nil {
+		t.Fatalf("%s replay (legacy=%v): %v", app, legacy, err)
+	}
+	dump, err := os.ReadFile(vcd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var val [][]byte
-	for _, legacy := range []bool{true, false} {
-		rep, err := Run(RunConfig{
-			App: "dma-irq", Scale: 1, Seed: 7, Cfg: R3,
-			ReplayTrace: rec.Trace, LegacyKernel: legacy,
-			SensitivityCheck: true,
+	return res.Trace.Bytes(), dump, res.Stats
+}
+
+// replayBatchFloor lists apps whose R3 replays must batch at least 90% of
+// their cycles: the compute stretches between handshakes dominate them, so
+// an ungated module added to the replay stack shows up here as a test
+// failure instead of a silent order-of-magnitude slowdown.
+var replayBatchFloor = map[string]bool{"sha": true, "render3d": true}
+
+// slowLegacyReplays are the apps whose legacy-kernel replays take seconds;
+// -short leaves them out.
+var slowLegacyReplays = map[string]bool{"sssp": true, "faced": true, "mnet": true}
+
+// TestKernelGoldenReplay extends the golden check through a full
+// record/replay cycle: for every application, the validation trace, the VCD
+// waveform and the cycle count of an R3 replay must not depend on which
+// kernel ran the replay.
+func TestKernelGoldenReplay(t *testing.T) {
+	for _, app := range apps.Names() {
+		app := app
+		t.Run(app, func(t *testing.T) {
+			if testing.Short() && slowLegacyReplays[app] {
+				t.Skip("legacy-kernel replay takes seconds")
+			}
+			t.Parallel()
+			rec, err := Run(RunConfig{App: app, Scale: 1, Seed: 7, Cfg: R2, SensitivityCheck: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refTrace, refVCD, ref := replayRun(t, app, rec.Trace, true)
+			gotTrace, gotVCD, got := replayRun(t, app, rec.Trace, false)
+			if got.Cycles != ref.Cycles {
+				t.Errorf("cycles: scheduler %d, legacy %d", got.Cycles, ref.Cycles)
+			}
+			if !bytes.Equal(gotTrace, refTrace) {
+				t.Errorf("R3 validation traces differ (scheduler %d bytes, legacy %d bytes)",
+					len(gotTrace), len(refTrace))
+			}
+			if !bytes.Equal(gotVCD, refVCD) {
+				t.Errorf("VCD dumps differ (scheduler %d bytes, legacy %d bytes)",
+					len(gotVCD), len(refVCD))
+			}
+			if replayBatchFloor[app] && got.BatchedCycles*10 < got.Cycles*9 {
+				t.Errorf("replay batched %d of %d cycles, want at least 90%%", got.BatchedCycles, got.Cycles)
+			}
 		})
-		if err != nil {
-			t.Fatalf("replay (legacy=%v): %v", legacy, err)
+	}
+}
+
+// TestReplayTelemetryKernelIndependent checks that the replay-side counters
+// (gate stalls, fetch stalls) count events of the replayed execution, not
+// Ticks: an R3 replay must report the same vidi_replay_* series under the
+// legacy kernel, which ticks the coordinator every cycle, as under the
+// scheduler, which ticks it only when woken.
+func TestReplayTelemetryKernelIndependent(t *testing.T) {
+	for _, app := range []string{"dma-irq", "sha"} {
+		app := app
+		t.Run(app, func(t *testing.T) {
+			t.Parallel()
+			rec, err := Run(RunConfig{App: app, Scale: 1, Seed: 7, Cfg: R2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snaps []*telemetry.Snapshot
+			for _, legacy := range []bool{true, false} {
+				sink := telemetry.New()
+				if _, err := Run(RunConfig{
+					App: app, Scale: 1, Seed: 7, Cfg: R3,
+					ReplayTrace: rec.Trace, LegacyKernel: legacy, Telemetry: sink,
+				}); err != nil {
+					t.Fatalf("replay (legacy=%v): %v", legacy, err)
+				}
+				snaps = append(snaps, sink.Gather())
+			}
+			ref, got := replaySeries(snaps[0]), replaySeries(snaps[1])
+			if len(ref) == 0 {
+				t.Fatal("no vidi_replay_* series gathered")
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("vidi_replay_* series differ:\nscheduler %v\nlegacy    %v", got, ref)
+			}
+		})
+	}
+}
+
+// replaySeries flattens a snapshot's vidi_replay_* counters into
+// "family{labels}" → value.
+func replaySeries(s *telemetry.Snapshot) map[string]float64 {
+	out := map[string]float64{}
+	for _, f := range s.Families {
+		if !strings.HasPrefix(f.Name, "vidi_replay_") {
+			continue
 		}
-		val = append(val, rep.Trace.Bytes())
+		for _, se := range f.Series {
+			out[fmt.Sprintf("%s%v", f.Name, se.Labels)] = se.Value
+		}
 	}
-	if !bytes.Equal(val[0], val[1]) {
-		t.Fatal("R3 validation traces differ between kernels")
-	}
+	return out
 }
 
 // TestKernelStatsReported checks that a scheduler run surfaces meaningful
