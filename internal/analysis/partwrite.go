@@ -5,20 +5,20 @@ import (
 	"go/types"
 )
 
-// PartWrite audits the fine-grained parallel kernel's single-writer
-// contract. The scheduler (internal/sim) unions a module with every signal
-// in its declared Drives, so any two *declared* drivers of a signal always
-// share a sub-partition and run sequentially. The contract therefore breaks
-// only through an *undeclared* write:
+// PartWrite audits the fine-grained kernel's single-writer contract. The
+// scheduler (internal/sim) unions a module with every signal in its declared
+// Drives, so any two *declared* drivers of a signal always share a
+// sub-partition. The contract therefore breaks only through an *undeclared*
+// write:
 //
-//   - the settle phase is layered and outbox-mediated, and sensaudit already
-//     reports Eval drives missing from the declaration;
-//   - the tick phase has no ordering at all — partitions tick unordered in
-//     parallel — so a Tick that drives a signal absent from its module's
-//     declared Drives may be writing a wire owned by another sub-partition
-//     concurrently with that partition's own tick. That is a data race the
-//     union-find can never see, because partitioning is computed from the
-//     declarations.
+//   - in the settle phase, sensaudit already reports Eval drives missing
+//     from the declaration;
+//   - in the tick phase, a Tick that drives a signal absent from its
+//     module's declared Drives writes a signal the partitioner placed in
+//     another sub-partition, with reader lists and settle layers computed
+//     from the declarations. The change can reach no pending reader in the
+//     right order, so the wakeup is lost — the union-find can never see it,
+//     because partitioning is computed from the declarations.
 //
 // PartWrite proves the complement statically: for every module type with a
 // resolvable Sensitivity declaration, the symbolically-evaluated drive set
@@ -28,9 +28,9 @@ import (
 // everything they could touch); calls Tick makes that cannot be resolved
 // while signals flow into them are reported, because an invisible drive
 // behind them would void the proof. It is the static complement of the
-// `-race` golden worker matrix: the matrix catches a racy schedule it
-// happens to run, partwrite rejects the module shape that makes one
-// possible.
+// golden byte-equality matrix against the legacy kernel: the matrix catches
+// a lost wakeup a workload happens to hit, partwrite rejects the module
+// shape that makes one possible.
 var PartWrite = &Analyzer{
 	Name: "partwrite",
 	Doc:  "prove tick-phase signal writes stay inside each module's declared Drives (sub-partition single-writer contract)",
@@ -109,7 +109,7 @@ func auditTick(pass *Pass, tickFD *ast.FuncDecl) {
 	for _, p := range sortedPaths(sc.drives) {
 		if _, ok := decl.drives[p]; !ok {
 			pass.Report(clampPos(pass.Pkg, sc.drives[p], tickFD),
-				"Tick of %s drives %s, which is not in its declared Drives: the signal may be owned by another sub-partition and tick phases run unordered in parallel (single-writer violation); declare the drive or Tie the modules",
+				"Tick of %s drives %s, which is not in its declared Drives: the signal may be owned by another sub-partition, whose readers then miss the change (single-writer violation); declare the drive or Tie the modules",
 				typeName, renderPath(p, recvName))
 		}
 	}

@@ -40,6 +40,9 @@ type Encoder struct {
 	curStarts   []bool
 	curEnds     []bool
 	curContents [][]byte // per channel; compacted at end of cycle
+	// tree is the compaction tree's input, reused every cycle: start
+	// contents then end contents, each in channel order (nil = absent).
+	tree [][]byte
 
 	// Outstanding reservation sizes per channel. Held as byte amounts, not
 	// booleans, so a release returns exactly what was reserved even when a
@@ -284,16 +287,15 @@ func (e *Encoder) Tick() {
 	if anyEvent || e.EmitIdlePackets {
 		pkt := trace.NewCyclePacket(e.meta)
 		pkt.Lossy = e.lossy
-		// Input starts with content, compacted in channel order through
-		// the binary reduction tree.
-		startContents := make([][]byte, e.meta.NumChannels())
+		// Input start contents, then output end contents, each in channel
+		// order, compacted through the reduction tree.
+		tree := e.tree[:0]
 		for ii, ci := range e.meta.InputChannels() {
 			if e.curStarts[ci] {
 				pkt.Starts.Set(ii)
-				startContents[ci] = e.curContents[ci]
+				tree = append(tree, e.curContents[ci])
 			}
 		}
-		endContents := make([][]byte, e.meta.NumChannels())
 		for ci := range e.curEnds {
 			if e.curEnds[ci] {
 				pkt.Ends.Set(ci)
@@ -301,12 +303,13 @@ func (e *Encoder) Tick() {
 					if e.lossy {
 						e.UnrecordedEnds++
 					} else {
-						endContents[ci] = e.curContents[ci]
+						tree = append(tree, e.curContents[ci])
 					}
 				}
 			}
 		}
-		pkt.Contents = append(trace.CompactTree(startContents), trace.CompactTree(endContents)...)
+		pkt.Contents = trace.CompactTree(tree)
+		e.tree = tree
 		e.rec.Append(pkt)
 		e.used += pkt.Size(e.meta)
 	}

@@ -14,44 +14,35 @@ import (
 
 // tripwireEnv arms the dual-run determinism tripwire; unset, the test
 // skips so plain `go test ./...` stays fast. CI's race-golden target sets
-// it, which is where the perturbed schedules actually interleave.
+// it.
 const tripwireEnv = "VIDI_TRIPWIRE"
 
 // volatileFamilies are the telemetry families legitimately allowed to vary
-// across schedules: sampled wall-clock settle timing, the per-worker split
-// of partition executions (which worker grabbed which partition is
-// explicitly nondeterministic), and the worker-count gauge itself (the
-// permutations change it on purpose). Everything else — per-partition eval
-// counts, waves, wakeups, busy cycles, application counters — must be
-// byte-identical.
+// between runs: sampled wall-clock settle timing. Everything else —
+// per-partition eval counts, waves, wakeups, busy cycles, application
+// counters — must be byte-identical.
 var volatileFamilies = map[string]bool{
-	"vidi_sched_eval_ns_total":     true,
-	"vidi_sched_worker_busy_total": true,
-	"vidi_sched_workers":           true,
+	"vidi_sched_eval_ns_total": true,
 }
 
-// tripwireRun executes one R2 recording of app under the given worker
-// count, GOMAXPROCS and perturbation seed, returning the trace bytes, the
-// VCD dump and the canonicalized telemetry snapshot.
-func tripwireRun(t *testing.T, app string, workers, gomax int, perturb uint64) (traceBytes, vcdBytes, telemetryBytes []byte) {
+// tripwireRun executes one R2 recording of app under the given GOMAXPROCS,
+// returning the trace bytes, the VCD dump and the canonicalized telemetry
+// snapshot.
+func tripwireRun(t *testing.T, app string, gomax int) (traceBytes, vcdBytes, telemetryBytes []byte) {
 	t.Helper()
-	if gomax > 0 {
-		prev := runtime.GOMAXPROCS(gomax)
-		defer runtime.GOMAXPROCS(prev)
-	}
+	prev := runtime.GOMAXPROCS(gomax)
+	defer runtime.GOMAXPROCS(prev)
 	vcd := filepath.Join(t.TempDir(), "dump.vcd")
 	sink := telemetry.New()
 	res, err := Run(RunConfig{
 		App: app, Scale: 1, Seed: 7, Cfg: R2,
-		Workers: workers, VCDPath: vcd,
-		PerturbSeed: perturb,
-		Telemetry:   sink,
+		VCDPath: vcd, Telemetry: sink,
 	})
 	if err != nil {
-		t.Fatalf("%s (workers=%d gomax=%d perturb=%#x): %v", app, workers, gomax, perturb, err)
+		t.Fatalf("%s (gomax=%d): %v", app, gomax, err)
 	}
 	if res.CheckErr != nil {
-		t.Fatalf("%s (workers=%d gomax=%d perturb=%#x): golden check: %v", app, workers, gomax, perturb, res.CheckErr)
+		t.Fatalf("%s (gomax=%d): golden check: %v", app, gomax, res.CheckErr)
 	}
 	dump, err := os.ReadFile(vcd)
 	if err != nil {
@@ -78,48 +69,33 @@ func canonicalSnapshot(t *testing.T, snap *telemetry.Snapshot) []byte {
 }
 
 // TestDeterminismTripwire is the dynamic complement of the detaudit and
-// partwrite analyzers: every golden application is executed repeatedly with
-// permuted worker counts, permuted GOMAXPROCS, and a deliberately perturbed
-// goroutine schedule (seeded yield injection in the kernel's worker loop),
-// and every run must produce byte-identical traces, VCD waveforms and
-// telemetry snapshots (volatile families excluded). Any surviving hidden
-// schedule dependence — an unsynchronized write the partitioner missed, a
-// map-order leak into a trace frame, completion-order result merging —
-// shows up here as a byte diff. Armed via VIDI_TRIPWIRE=1; CI runs it under
-// -race in the race-golden job.
+// partwrite analyzers: every golden application is recorded twice, at
+// GOMAXPROCS 1 and at the machine's CPU count (at least 2), and both runs must produce
+// byte-identical traces, VCD waveforms and telemetry snapshots (volatile
+// families excluded). Any hidden dependence on the Go runtime's scheduling —
+// a map-order leak into a trace frame, a goroutine reintroduced into a run,
+// completion-order result merging — shows up here as a byte diff. Armed via
+// VIDI_TRIPWIRE=1; CI runs it under -race in the race-golden job.
 func TestDeterminismTripwire(t *testing.T) {
 	if os.Getenv(tripwireEnv) == "" {
 		t.Skipf("set %s=1 to arm the dual-run determinism tripwire", tripwireEnv)
 	}
-	maxProcs := runtime.GOMAXPROCS(0)
-	perms := []struct {
-		name    string
-		workers int
-		gomax   int
-		perturb uint64
-	}{
-		{"w2-perturbA", 2, 0, 0x9e3779b97f4a7c15},
-		{"w2-gomax2-perturbB", 2, 2, 0xd1b54a32d192ed03},
-		{"wmax-perturbC", maxProcs, 0, 0x2545f4914f6cdd1d},
-	}
+	maxProcs := max(runtime.NumCPU(), 2)
 	for _, app := range apps.Names() {
 		app := app
 		t.Run(app, func(t *testing.T) {
-			// Reference: sequential workers, unperturbed schedule.
-			refTrace, refVCD, refTel := tripwireRun(t, app, 1, 0, 0)
-			for _, pm := range perms {
-				gotTrace, gotVCD, gotTel := tripwireRun(t, app, pm.workers, pm.gomax, pm.perturb)
-				if !bytes.Equal(gotTrace, refTrace) {
-					t.Errorf("%s: trace bytes diverge from the sequential reference (%d vs %d bytes)",
-						pm.name, len(gotTrace), len(refTrace))
-				}
-				if !bytes.Equal(gotVCD, refVCD) {
-					t.Errorf("%s: VCD dump diverges from the sequential reference", pm.name)
-				}
-				if !bytes.Equal(gotTel, refTel) {
-					t.Errorf("%s: telemetry snapshot diverges from the sequential reference:\n%s",
-						pm.name, firstDiff(gotTel, refTel))
-				}
+			refTrace, refVCD, refTel := tripwireRun(t, app, 1)
+			gotTrace, gotVCD, gotTel := tripwireRun(t, app, maxProcs)
+			if !bytes.Equal(gotTrace, refTrace) {
+				t.Errorf("GOMAXPROCS=%d: trace bytes diverge from GOMAXPROCS=1 (%d vs %d bytes)",
+					maxProcs, len(gotTrace), len(refTrace))
+			}
+			if !bytes.Equal(gotVCD, refVCD) {
+				t.Errorf("GOMAXPROCS=%d: VCD dump diverges from GOMAXPROCS=1", maxProcs)
+			}
+			if !bytes.Equal(gotTel, refTel) {
+				t.Errorf("GOMAXPROCS=%d: telemetry snapshot diverges from GOMAXPROCS=1:\n%s",
+					maxProcs, firstDiff(gotTel, refTel))
 			}
 		})
 	}

@@ -141,18 +141,15 @@ func faultCell(app string, class fault.Class, scale int, seedBase int64) (FaultR
 		failTelemetry(&row, sink)
 		return row, nil
 	}
-	if err := rec.Trace.Validate(); err != nil {
+	report, _, err := ReplayVerify(app, scale, seedBase, rec.Trace, 0)
+	var invalid *InvalidTraceError
+	if errors.As(err, &invalid) {
 		row.Outcome = "SILENT"
-		row.Detail = fmt.Sprintf("recorded trace failed validation: %v", err)
+		row.Detail = fmt.Sprintf("recorded trace failed validation: %v", invalid.Err)
 		row.Silent = true
 		failTelemetry(&row, sink)
 		return row, nil
 	}
-	rep, err := Run(RunConfig{App: app, Scale: scale, Seed: seedBase, Cfg: R3, ReplayTrace: rec.Trace})
-	if err != nil {
-		return row, err
-	}
-	report, err := core.Compare(rec.Trace, rep.Trace)
 	if err != nil {
 		return row, err
 	}

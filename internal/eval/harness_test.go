@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"errors"
 	"testing"
 
 	"vidi/internal/core"
+	"vidi/internal/trace"
 )
 
 func TestDMARecordReplayEndToEnd(t *testing.T) {
@@ -66,5 +68,76 @@ func TestDMATransparentMatchesRecorded(t *testing.T) {
 	t.Logf("dma: R1=%d cycles, R2=%d cycles, overhead=%.2f%%", r1.Cycles, r2.Cycles, overhead)
 	if overhead > 50 {
 		t.Fatalf("recording overhead implausibly high: %.1f%%", overhead)
+	}
+}
+
+// TestReplayVerifyRejectsInvalidTrace feeds ReplayVerify structurally broken
+// traces — the shapes that used to reach the replayers and panic with an
+// index out of range — and demands a typed *InvalidTraceError wrapping the
+// trace.Validate error instead.
+func TestReplayVerifyRejectsInvalidTrace(t *testing.T) {
+	rec, err := Run(RunConfig{App: "dma-irq", Scale: 1, Seed: 7, Cfg: R2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := rec.Trace.Meta
+	// The first channel start in the recording: packet pi starts input ii.
+	pi, ii := -1, -1
+	for i, p := range rec.Trace.Packets {
+		for in := range m.InputChannels() {
+			if pi < 0 && p.Starts.Get(in) {
+				pi, ii = i, in
+			}
+		}
+	}
+	if pi < 0 {
+		t.Fatal("no input start in the recording")
+	}
+	ci := m.InputChannels()[ii]
+	// insert puts p in front of packet at.
+	insert := func(tr *trace.Trace, at int, p trace.CyclePacket) {
+		tr.Packets = append(tr.Packets[:at], append([]trace.CyclePacket{p}, tr.Packets[at:]...)...)
+	}
+	cases := []struct {
+		name   string
+		mutate func(tr *trace.Trace)
+	}{
+		{"start without content", func(tr *trace.Trace) {
+			p := trace.NewCyclePacket(m)
+			p.Starts.Set(ii)
+			insert(tr, pi, p)
+		}},
+		{"start while in flight", func(tr *trace.Trace) {
+			p := trace.NewCyclePacket(m)
+			p.Starts.Set(ii)
+			p.Contents = [][]byte{make([]byte, m.Channels[ci].Width)}
+			insert(tr, pi, p)
+		}},
+		{"input end while idle", func(tr *trace.Trace) {
+			p := trace.NewCyclePacket(m)
+			p.Ends.Set(ci)
+			insert(tr, 0, p)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &trace.Trace{Meta: m}
+			for _, p := range rec.Trace.Packets {
+				tr.Append(p.Copy())
+			}
+			tc.mutate(tr)
+			verr := tr.Validate()
+			if verr == nil {
+				t.Fatal("mutation left a valid trace")
+			}
+			_, _, err := ReplayVerify("dma-irq", 1, 7, tr, 0)
+			var invalid *InvalidTraceError
+			if !errors.As(err, &invalid) {
+				t.Fatalf("ReplayVerify = %v, want *InvalidTraceError", err)
+			}
+			if invalid.Err.Error() != verr.Error() || errors.Unwrap(err) != invalid.Err {
+				t.Fatalf("error %v does not wrap the validation error %v", err, verr)
+			}
+		})
 	}
 }

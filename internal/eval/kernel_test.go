@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -68,23 +67,20 @@ func TestKernelGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// matrixRun is goldenRun with explicit worker-pool and partitioning-strategy
-// knobs and without the sensitivity audit — the audit's dynamic probe forces
-// sequential evaluation, and the whole point here is to exercise the
-// parallel paths.
-func matrixRun(t *testing.T, app string, legacy bool, workers int, coarse bool) (traceBytes, vcdBytes []byte, cycles uint64) {
+// matrixRun is goldenRun without the sensitivity audit: the matrix checks
+// the scheduler's probe-free hot path, the one every production run takes.
+func matrixRun(t *testing.T, app string, legacy bool) (traceBytes, vcdBytes []byte, cycles uint64) {
 	t.Helper()
 	vcd := filepath.Join(t.TempDir(), "dump.vcd")
 	res, err := Run(RunConfig{
 		App: app, Scale: 1, Seed: 7, Cfg: R2,
-		LegacyKernel: legacy, Workers: workers, CoarsePartitions: coarse,
-		VCDPath: vcd,
+		LegacyKernel: legacy, VCDPath: vcd,
 	})
 	if err != nil {
-		t.Fatalf("%s (legacy=%v workers=%d coarse=%v): %v", app, legacy, workers, coarse, err)
+		t.Fatalf("%s (legacy=%v): %v", app, legacy, err)
 	}
 	if res.CheckErr != nil {
-		t.Fatalf("%s (legacy=%v workers=%d coarse=%v): golden check: %v", app, legacy, workers, coarse, res.CheckErr)
+		t.Fatalf("%s (legacy=%v): golden check: %v", app, legacy, res.CheckErr)
 	}
 	dump, err := os.ReadFile(vcd)
 	if err != nil {
@@ -93,39 +89,27 @@ func matrixRun(t *testing.T, app string, legacy bool, workers int, coarse bool) 
 	return res.Trace.Bytes(), dump, res.Cycles
 }
 
-// TestKernelGoldenWorkerMatrix is the determinism matrix: for every
-// registered application, the R2 recording must be byte-identical — trace
-// and VCD waveform, at the same cycle count — between the legacy kernel and
-// the scheduler at every swept worker-pool size, under both the fine and
-// the coarse partitioning strategy. `make race-golden` runs it under the
-// race detector, which is what certifies the parallel settle paths.
+// TestKernelGoldenWorkerMatrix is the determinism matrix for the unaudited
+// scheduler: for every registered application, the R2 recording must be
+// byte-identical — trace and VCD waveform, at the same cycle count —
+// between the legacy kernel and the scheduler with no sensitivity probe
+// attached. (A run executes on one goroutine; the matrix no longer sweeps
+// worker counts.) `make race-golden` runs it under the race detector.
 func TestKernelGoldenWorkerMatrix(t *testing.T) {
-	workerSet := []int{1, 2}
-	if n := runtime.GOMAXPROCS(0); n > 2 && !testing.Short() {
-		workerSet = append(workerSet, n)
-	}
-	coarseSet := []bool{false, true}
-	if testing.Short() {
-		coarseSet = []bool{false}
-	}
 	for _, app := range apps.Names() {
 		app := app
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			refTrace, refVCD, refCycles := matrixRun(t, app, true, 0, false)
-			for _, coarse := range coarseSet {
-				for _, w := range workerSet {
-					gotTrace, gotVCD, gotCycles := matrixRun(t, app, false, w, coarse)
-					if gotCycles != refCycles {
-						t.Errorf("workers=%d coarse=%v: cycles %d, legacy %d", w, coarse, gotCycles, refCycles)
-					}
-					if !bytes.Equal(gotTrace, refTrace) {
-						t.Errorf("workers=%d coarse=%v: trace bytes differ", w, coarse)
-					}
-					if !bytes.Equal(gotVCD, refVCD) {
-						t.Errorf("workers=%d coarse=%v: VCD dump differs", w, coarse)
-					}
-				}
+			refTrace, refVCD, refCycles := matrixRun(t, app, true)
+			gotTrace, gotVCD, gotCycles := matrixRun(t, app, false)
+			if gotCycles != refCycles {
+				t.Errorf("cycles %d, legacy %d", gotCycles, refCycles)
+			}
+			if !bytes.Equal(gotTrace, refTrace) {
+				t.Errorf("trace bytes differ")
+			}
+			if !bytes.Equal(gotVCD, refVCD) {
+				t.Errorf("VCD dump differs")
 			}
 		})
 	}

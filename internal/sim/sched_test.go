@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -108,15 +109,13 @@ func (p *tapProbe) Tick() {
 	}
 }
 
-// runPipelines executes the n-pipeline design under the given kernel config
-// and returns each pipeline's fire log.
-func runPipelines(t *testing.T, n, payloads, workers int, legacy bool) [][]string {
+// runPipelines executes the n-pipeline design under the chosen kernel, with
+// any extra modules registered after the pipelines, and returns each
+// pipeline's fire log.
+func runPipelines(t *testing.T, n, payloads int, legacy bool, extra ...Module) [][]string {
 	t.Helper()
 	s := New()
 	s.SetLegacy(legacy)
-	if workers > 0 {
-		s.SetWorkers(workers)
-	}
 	senders, outs := buildPipelines(s, n, payloads, true)
 	probes := make([]*tapProbe, n)
 	for i, out := range outs {
@@ -124,6 +123,7 @@ func runPipelines(t *testing.T, n, payloads, workers int, legacy bool) [][]strin
 		s.Register(probes[i])
 		s.Tie(probes[i], senders[i]) // keep the probe with its pipeline
 	}
+	s.Register(extra...)
 	done := func() bool {
 		for _, snd := range senders {
 			if !snd.Idle() {
@@ -133,7 +133,7 @@ func runPipelines(t *testing.T, n, payloads, workers int, legacy bool) [][]strin
 		return true
 	}
 	if _, err := s.Run(100000, done); err != nil {
-		t.Fatalf("run (workers=%d legacy=%v): %v", workers, legacy, err)
+		t.Fatalf("run (legacy=%v): %v", legacy, err)
 	}
 	if !legacy {
 		st := s.Stats()
@@ -149,34 +149,59 @@ func runPipelines(t *testing.T, n, payloads, workers int, legacy bool) [][]strin
 }
 
 // TestPartitionedParallelMatchesLegacy is the kernel's determinism
-// regression: N independent pipelines must produce cycle-identical fire
-// sequences on the legacy fixpoint kernel, the sequential scheduler, and the
-// parallel scheduler. Running it under -race also verifies that partitions
-// share no state.
+// regression: N independent pipelines — independent partitions under the
+// scheduler — must produce cycle-identical fire sequences on the legacy
+// fixpoint kernel and the scheduler.
 func TestPartitionedParallelMatchesLegacy(t *testing.T) {
 	const n, payloads = 8, 50
-	ref := runPipelines(t, n, payloads, 1, true)
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{
-		{"sequential", 1},
-		{"parallel4", 4},
-		{"parallel-default", 0},
-	} {
-		got := runPipelines(t, n, payloads, cfg.workers, false)
-		for i := range ref {
-			if len(got[i]) != len(ref[i]) {
-				t.Fatalf("%s: pipeline %d fired %d times, legacy %d",
-					cfg.name, i, len(got[i]), len(ref[i]))
-			}
-			for j := range ref[i] {
-				if got[i][j] != ref[i][j] {
-					t.Fatalf("%s: pipeline %d event %d = %s, legacy %s",
-						cfg.name, i, j, got[i][j], ref[i][j])
-				}
+	ref := runPipelines(t, n, payloads, true)
+	got := runPipelines(t, n, payloads, false)
+	for i := range ref {
+		if len(got[i]) != len(ref[i]) {
+			t.Fatalf("pipeline %d fired %d times, legacy %d", i, len(got[i]), len(ref[i]))
+		}
+		for j := range ref[i] {
+			if got[i][j] != ref[i][j] {
+				t.Fatalf("pipeline %d event %d = %s, legacy %s", i, j, got[i][j], ref[i][j])
 			}
 		}
+	}
+}
+
+// goroutineProbe records the largest goroutine count seen from inside the
+// kernel: its Eval runs on wave 0 of every cycle (no Stable) and its Tick
+// every cycle (no tick gating), each in a partition of its own.
+type goroutineProbe struct{ max int }
+
+func (p *goroutineProbe) Name() string             { return "goroutines" }
+func (p *goroutineProbe) Eval()                    { p.note() }
+func (p *goroutineProbe) Tick()                    { p.note() }
+func (p *goroutineProbe) Sensitivity() Sensitivity { return Sensitivity{} }
+
+func (p *goroutineProbe) note() {
+	if n := runtime.NumGoroutine(); n > p.max {
+		p.max = n
+	}
+}
+
+// TestRunStartsNoGoroutine pins that a simulation runs entirely on its
+// caller's goroutine: a multi-partition design never sees more goroutines
+// from inside Eval or Tick than existed before Run. Parallelism belongs
+// across runs; a per-phase fan-out inside one costs more than the ~75 ns a
+// partition settle takes. Not parallel, so no other test's goroutines
+// interfere; GOMAXPROCS is raised to 2 so a fan-out keyed on it would show.
+func TestRunStartsNoGoroutine(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	probe := &goroutineProbe{}
+	before := runtime.NumGoroutine()
+	runPipelines(t, 8, 50, false, probe)
+	if probe.max == 0 {
+		t.Fatal("probe module never ran")
+	}
+	if probe.max > before {
+		t.Fatalf("Run raised the goroutine count from %d to %d", before, probe.max)
 	}
 }
 

@@ -1,57 +1,27 @@
 package trace
 
-// The trace encoder constructs the Contents field of a cycle packet using a
-// binary reduction tree that compacts the Content fields of all channel
-// packets, keeping only those channels that actually carry content this
-// cycle (§3.2, Fig 5). In hardware the tree gives logarithmic depth; here we
-// mirror the structure so the compaction order — and therefore the trace
-// format — matches the paper's description.
-
-// slot is one leaf or internal node of the compaction tree: an ordered run
-// of present contents.
-type slot [][]byte
-
-// CompactTree compacts per-channel optional contents (nil = absent) into an
-// ordered, dense list using pairwise reduction. The result preserves channel
-// index order.
+// CompactTree compacts per-channel optional contents (nil = absent) into a
+// dense list of the present ones, in channel index order, or nil when none
+// is present. The result equals the output order of the hardware encoder's
+// binary reduction tree (§3.2, Fig 5), which merges pairs of ordered runs of
+// present contents level by level with logarithmic depth; a sequential
+// order-preserving filter computes the same list with one allocation.
 func CompactTree(contents [][]byte) [][]byte {
-	if len(contents) == 0 {
+	n := 0
+	for _, c := range contents {
+		if c != nil {
+			n++
+		}
+	}
+	if n == 0 {
 		return nil
 	}
-	// Leaves: one slot per channel, empty if the channel has no content.
-	level := make([]slot, len(contents))
-	for i, c := range contents {
+	out := make([][]byte, 0, n)
+	for _, c := range contents {
 		if c != nil {
-			level[i] = slot{c}
+			out = append(out, c)
 		}
 	}
-	// Reduce pairwise until one slot remains.
-	for len(level) > 1 {
-		next := make([]slot, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, combine(level[i], level[i+1]))
-			} else {
-				next = append(next, level[i])
-			}
-		}
-		level = next
-	}
-	return [][]byte(level[0])
-}
-
-// combine merges two slots preserving order; it models one mux stage of the
-// hardware compaction tree.
-func combine(a, b slot) slot {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make(slot, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
 	return out
 }
 
