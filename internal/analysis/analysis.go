@@ -1,6 +1,6 @@
 // Package analysis is vidi-lint's analyzer suite: a small, dependency-free
 // reimplementation of the golang.org/x/tools/go/analysis surface (Analyzer,
-// Pass, Diagnostic) plus the two vidi-specific analyzers, sensaudit and
+// Pass, Diagnostic) plus the vidi-specific analyzers sensaudit, detaudit and
 // handshake. The container this repo builds in has no module proxy access,
 // so the framework is built on the standard library only: packages are
 // loaded through `go list -export` and typechecked with the stdlib gc
@@ -60,7 +60,7 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 
 // All returns the analyzers of the suite, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{SensAudit, Handshake, DetAudit, PartWrite}
+	return []*Analyzer{SensAudit, Handshake, DetAudit}
 }
 
 // Run executes the analyzers over every target package of the loader and

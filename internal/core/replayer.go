@@ -67,8 +67,8 @@ func (c *Coordinator) TickWatch() []*sim.Channel { return nil }
 // unpark another within the pass. Each replayer then waits on a completion
 // (the T_current gate, an active offer, an unmatched End, an asserted
 // READY) or on a packet release (idx == released), and both wake the
-// coordinator. Registered after the decoder and the replayers in the same
-// partition, it runs in the very cycle of the wake.
+// coordinator. Registered after the decoder and the replayers, it runs in
+// the very cycle of the wake.
 func (c *Coordinator) TickStable() bool { return true }
 
 // Current returns the shared T_current clock.
@@ -230,7 +230,7 @@ func (r *Replayer) Eval() {
 // Sensitivity implements sim.Sensitive: the replayer recreates the
 // environment side of its channel from registered state. Replayers also
 // share the coordinator's vector clock and the decoder's cursor state at
-// Tick time, so the shim ties the whole replay stack together.
+// Tick time, Go state that reaches them through Touch and tick wakes.
 func (r *Replayer) Sensitivity() sim.Sensitivity {
 	if r.bc.Info.Dir == trace.Input {
 		return sim.Sensitivity{Drives: r.bc.Env.SenderSignals()}

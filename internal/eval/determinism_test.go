@@ -18,9 +18,9 @@ import (
 const tripwireEnv = "VIDI_TRIPWIRE"
 
 // volatileFamilies are the telemetry families legitimately allowed to vary
-// between runs: sampled wall-clock settle timing. Everything else —
-// per-partition eval counts, waves, wakeups, busy cycles, application
-// counters — must be byte-identical.
+// between runs: sampled wall-clock settle timing. Everything else — eval
+// counts, waves, wakeups, busy cycles, application counters — must be
+// byte-identical.
 var volatileFamilies = map[string]bool{
 	"vidi_sched_eval_ns_total": true,
 }
@@ -68,8 +68,8 @@ func canonicalSnapshot(t *testing.T, snap *telemetry.Snapshot) []byte {
 	return buf.Bytes()
 }
 
-// TestDeterminismTripwire is the dynamic complement of the detaudit and
-// partwrite analyzers: every golden application is recorded twice, at
+// TestDeterminismTripwire is the dynamic complement of the detaudit
+// analyzer: every golden application is recorded twice, at
 // GOMAXPROCS 1 and at the machine's CPU count (at least 2), and both runs must produce
 // byte-identical traces, VCD waveforms and telemetry snapshots (volatile
 // families excluded). Any hidden dependence on the Go runtime's scheduling —

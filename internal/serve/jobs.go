@@ -54,6 +54,10 @@ type jobPool struct {
 	met    *metrics
 	log    *slog.Logger
 
+	// exec runs one job; it is p.run, replaceable so tests can inject a
+	// panicking job.
+	exec func(context.Context, *Job) error
+
 	queue  chan *Job
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -75,6 +79,7 @@ func newJobPool(store *Store, limits Limits, met *metrics) *jobPool {
 		cancel: cancel,
 		jobs:   map[string]*Job{},
 	}
+	p.exec = p.run
 	for i := 0; i < limits.workers(); i++ {
 		p.wg.Add(1)
 		go p.worker()
@@ -114,7 +119,7 @@ func (p *jobPool) submit(kind, runID, refRunID, reqID string) (*Job, error) {
 			return nil, fmt.Errorf("serve: unknown reference run %s", refRunID)
 		}
 		if !refM.Replayable {
-			return nil, fmt.Errorf("serve: reference run %s is not replayable (degraded upload)", refRunID)
+			return nil, fmt.Errorf("serve: reference run %s is not replayable (degraded upload or invalid trace)", refRunID)
 		}
 	default:
 		return nil, fmt.Errorf("serve: unknown job kind %q", kind)
@@ -123,11 +128,12 @@ func (p *jobPool) submit(kind, runID, refRunID, reqID string) (*Job, error) {
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown run %s", runID)
 	}
-	// Every job kind decodes the run's frame stream, so an upload-gapped
-	// (non-replayable) run is rejected up front for all of them — honest
-	// degradation must never surface as a corruption-flavored job failure.
+	// Every job kind decodes the run's frame stream, so a non-replayable run
+	// (upload-gapped, or a trace that failed validation at commit) is
+	// rejected up front for all of them — honest degradation must never
+	// surface as a corruption-flavored job failure.
 	if !m.Replayable {
-		return nil, fmt.Errorf("serve: run %s is not replayable (degraded upload)", runID)
+		return nil, fmt.Errorf("serve: run %s is not replayable (degraded upload or invalid trace)", runID)
 	}
 
 	p.mu.Lock()
@@ -219,11 +225,23 @@ func (p *jobPool) worker() {
 		case j := <-p.queue:
 			p.setStatus(j, "running")
 			ctx, cancel := context.WithTimeout(p.ctx, p.limits.jobTimeout())
-			err := p.run(ctx, j)
+			err := p.runGuarded(ctx, j)
 			cancel()
 			p.finish(j, err)
 		}
 	}
+}
+
+// runGuarded executes one job, turning a panic into that job's failure so
+// the worker — and every other queued job — keeps being served.
+func (p *jobPool) runGuarded(ctx context.Context, j *Job) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.met.jobsPanicked.v.Add(1)
+			err = fmt.Errorf("serve: job %s panicked: %v", j.ID, r)
+		}
+	}()
+	return p.exec(ctx, j)
 }
 
 func (p *jobPool) setStatus(j *Job, s string) {

@@ -551,7 +551,10 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	}
 	t0 := s.usec()
 	// Commit validates what was persisted: re-read every segment from
-	// disk, re-verify hashes, and decode the trace end to end.
+	// disk, re-verify hashes, and decode the trace end to end. A trace that
+	// decodes but fails trace.Validate (say, a start on a channel already in
+	// flight) still commits, as a non-replayable run: replay and compare
+	// jobs on it are then refused at submission.
 	body, err := se.w.ReadBack(r.Context())
 	if err != nil {
 		s.fail(w, err)
@@ -568,7 +571,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 				stats.Unrecorded = tr.UnrecordedTransactions()
 				stats.LossyPackets = uint64(tr.LossyPackets())
 				stats.BodySHA256 = hashBytes(tr.Bytes())
-				stats.Replayable = true
+				stats.Replayable = tr.Validate() == nil
 			}
 		}
 		endDecode()

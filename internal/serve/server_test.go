@@ -627,3 +627,113 @@ func TestJobCarriesRequestID(t *testing.T) {
 		t.Fatalf("finished job lost its request id: %+v", got)
 	}
 }
+
+// TestJobPoolSurvivesPanickingJob: a job whose execution panics is failed
+// with an error naming the panic and counted in
+// vidi_serve_jobs_panicked_total, and the single worker goes on to finish
+// the next replay job.
+func TestJobPoolSurvivesPanickingJob(t *testing.T) {
+	ls, cl := newTestServer(t, Limits{Workers: 1})
+	tr := recordedTrace(t)
+	ctx := context.Background()
+	sess, err := cl.OpenSession(ctx, "rp", RunMeta{Tenant: "acme", App: "dma-irq", Scale: 1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.UploadTrace(ctx, sess.SessionID, tr); err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	if _, err := cl.Commit(ctx, sess.SessionID); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	// The queue send in submit orders this write before any worker reads it.
+	pool := ls.server.jobs
+	run := pool.exec
+	pool.exec = func(ctx context.Context, j *Job) error {
+		if j.ID == "job-1" {
+			panic("injected replay fault")
+		}
+		return run(ctx, j)
+	}
+
+	j, err := cl.SubmitJob(ctx, JobReplay, "rp", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err = cl.WaitJob(ctx, j.ID); err != nil {
+		t.Fatal(err)
+	}
+	if j.Status != "failed" || !strings.Contains(j.Error, "panicked") ||
+		!strings.Contains(j.Error, "injected replay fault") {
+		t.Fatalf("panicking job: %+v", j)
+	}
+
+	j, err = cl.SubmitJob(ctx, JobReplay, "rp", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err = cl.WaitJob(ctx, j.ID); err != nil {
+		t.Fatal(err)
+	}
+	if j.Status != "done" || j.Clean == nil || !*j.Clean {
+		t.Fatalf("replay after a panic: %+v", j)
+	}
+
+	resp, err := http.Get(ls.url + "/metrics")
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	snap, err := telemetry.ParsePrometheus(resp.Body)
+	if err != nil {
+		t.Fatalf("metrics parse: %v", err)
+	}
+	if v := snap.Total("vidi_serve_jobs_panicked_total"); v != 1 {
+		t.Fatalf("jobs_panicked metric = %v, want 1", v)
+	}
+}
+
+// TestServerInvalidTraceCommitsUnreplayable uploads a trace that decodes
+// but fails trace.Validate — an input channel starting while its previous
+// transaction is still in flight, with every content present so the frame
+// codec is self-consistent. The run must commit as replayable: false and
+// the replay job must be refused at submission.
+func TestServerInvalidTraceCommitsUnreplayable(t *testing.T) {
+	_, cl := newTestServer(t, Limits{})
+	meta := recordedTrace(t).Meta
+	ci := meta.InputChannels()[0]
+	bad := trace.NewTrace(meta)
+	for i := 0; i < 2; i++ {
+		p := trace.NewCyclePacket(meta)
+		p.Starts.Set(0)
+		p.Contents = [][]byte{make([]byte, meta.Channels[ci].Width)}
+		bad.Append(p)
+	}
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "in flight") {
+		t.Fatalf("fixture should fail validation with a start while in flight, got %v", err)
+	}
+	ctx := context.Background()
+
+	sess, err := cl.OpenSession(ctx, "inflight", RunMeta{Tenant: "acme", App: "dma-irq", Scale: 1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.UploadTrace(ctx, sess.SessionID, bad); err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	m, err := cl.Commit(ctx, sess.SessionID)
+	if err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if m.Replayable {
+		t.Fatalf("invalid trace committed as replayable: %+v", m)
+	}
+	got, err := cl.Run(ctx, "inflight")
+	if err != nil || got.Replayable {
+		t.Fatalf("stored manifest: %+v %v", got, err)
+	}
+	if _, err := cl.SubmitJob(ctx, JobReplay, "inflight", ""); err == nil ||
+		!strings.Contains(err.Error(), "not replayable") {
+		t.Fatalf("replay of an invalid trace: got %v, want a not-replayable refusal", err)
+	}
+}

@@ -90,7 +90,8 @@ type Manifest struct {
 	// stream has holes, so serving it as a trace would mis-decode.
 	UploadGapFrames uint64 `json:"upload_gap_frames,omitempty"`
 	// Replayable reports whether the stored stream decodes to a valid
-	// trace (false for upload-gapped runs).
+	// trace (false for upload-gapped runs and for traces that decode but
+	// fail trace.Validate).
 	Replayable bool `json:"replayable"`
 	// StoredBytes totals the on-disk size of the run's unique segment
 	// files (the flate storage codec usually makes this smaller than

@@ -35,6 +35,7 @@ type metrics struct {
 	admissionRejects  mirror
 	jobsDone          mirror
 	jobsFailed        mirror
+	jobsPanicked      mirror
 	divergences       mirror
 	unrecorded        mirror
 	quarantined       mirror
@@ -126,6 +127,7 @@ func newMetrics(sink *telemetry.Sink) *metrics {
 	reg(&m.admissionRejects, "vidi_serve_admission_rejects_total", "Requests rejected by admission control quotas.")
 	reg(&m.jobsDone, "vidi_serve_jobs_completed_total", "Replay/compare/diagnose jobs completed.")
 	reg(&m.jobsFailed, "vidi_serve_jobs_failed_total", "Jobs that ended in error.")
+	reg(&m.jobsPanicked, "vidi_serve_jobs_panicked_total", "Jobs whose execution panicked; each is failed and the worker keeps serving.")
 	reg(&m.divergences, "vidi_serve_divergences_total", "Divergences reported by replay jobs.")
 	reg(&m.unrecorded, "vidi_serve_unrecorded_total", "Unrecorded (degraded-gap) transactions reported by replay jobs.")
 	reg(&m.quarantined, "vidi_serve_quarantined_total", "Artifacts quarantined by recovery or read verification.")
@@ -208,7 +210,7 @@ func (m *metrics) flush() {
 		&m.sessionsAborted, &m.segments, &m.segmentsDeduped, &m.frames,
 		&m.bytes, &m.gapFrames, &m.corruptFrames, &m.storeFaults,
 		&m.breakerShed, &m.admissionRejects, &m.jobsDone, &m.jobsFailed,
-		&m.divergences, &m.unrecorded, &m.quarantined,
+		&m.jobsPanicked, &m.divergences, &m.unrecorded, &m.quarantined,
 	} {
 		mr.flush()
 	}

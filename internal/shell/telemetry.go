@@ -6,7 +6,7 @@ import (
 )
 
 // bindTelemetry attaches the sink to the shell's engines and the CPU agent.
-// Engine counters are shards owned by the engine's own partition; the IRQ
+// Engine counters are shards owned by the engine's own Tick; the IRQ
 // total is folded from the existing IRQReceived field at scrape time.
 func (sys *System) bindTelemetry(sink *telemetry.Sink) {
 	now := sys.Sim.Cycle

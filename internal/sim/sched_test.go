@@ -121,7 +121,6 @@ func runPipelines(t *testing.T, n, payloads int, legacy bool, extra ...Module) [
 	for i, out := range outs {
 		probes[i] = &tapProbe{name: fmt.Sprintf("p%d.tap", i), s: s, ch: out}
 		s.Register(probes[i])
-		s.Tie(probes[i], senders[i]) // keep the probe with its pipeline
 	}
 	s.Register(extra...)
 	done := func() bool {
@@ -135,12 +134,6 @@ func runPipelines(t *testing.T, n, payloads int, legacy bool, extra ...Module) [
 	if _, err := s.Run(100000, done); err != nil {
 		t.Fatalf("run (legacy=%v): %v", legacy, err)
 	}
-	if !legacy {
-		st := s.Stats()
-		if st.Partitions < n {
-			t.Fatalf("got %d partitions for %d independent pipelines", st.Partitions, n)
-		}
-	}
 	logs := make([][]string, n)
 	for i, p := range probes {
 		logs[i] = p.log
@@ -149,9 +142,8 @@ func runPipelines(t *testing.T, n, payloads int, legacy bool, extra ...Module) [
 }
 
 // TestPartitionedParallelMatchesLegacy is the kernel's determinism
-// regression: N independent pipelines — independent partitions under the
-// scheduler — must produce cycle-identical fire sequences on the legacy
-// fixpoint kernel and the scheduler.
+// regression: N independent pipelines must produce cycle-identical fire
+// sequences on the legacy fixpoint kernel and the scheduler.
 func TestPartitionedParallelMatchesLegacy(t *testing.T) {
 	const n, payloads = 8, 50
 	ref := runPipelines(t, n, payloads, true)
@@ -170,7 +162,7 @@ func TestPartitionedParallelMatchesLegacy(t *testing.T) {
 
 // goroutineProbe records the largest goroutine count seen from inside the
 // kernel: its Eval runs on wave 0 of every cycle (no Stable) and its Tick
-// every cycle (no tick gating), each in a partition of its own.
+// every cycle (no tick gating).
 type goroutineProbe struct{ max int }
 
 func (p *goroutineProbe) Name() string             { return "goroutines" }
@@ -185,10 +177,10 @@ func (p *goroutineProbe) note() {
 }
 
 // TestRunStartsNoGoroutine pins that a simulation runs entirely on its
-// caller's goroutine: a multi-partition design never sees more goroutines
-// from inside Eval or Tick than existed before Run. Parallelism belongs
-// across runs; a per-phase fan-out inside one costs more than the ~75 ns a
-// partition settle takes. Not parallel, so no other test's goroutines
+// caller's goroutine: a design of independent pipelines never sees more
+// goroutines from inside Eval or Tick than existed before Run. Parallelism
+// belongs across runs; a per-phase fan-out inside one costs more than the
+// settle work it would spread. Not parallel, so no other test's goroutines
 // interfere; GOMAXPROCS is raised to 2 so a fan-out keyed on it would show.
 func TestRunStartsNoGoroutine(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
@@ -235,12 +227,6 @@ func TestStatsCountSkippedEvals(t *testing.T) {
 	}
 	if after.Cycles != s.Cycle() {
 		t.Errorf("Stats.Cycles = %d, Cycle() = %d", after.Cycles, s.Cycle())
-	}
-	// Sender, fifo and receiver share no combinational signals (each reads
-	// only its own registered state), so every pipeline splits into three
-	// partitions.
-	if after.Partitions != 6 {
-		t.Errorf("Partitions = %d, want 6", after.Partitions)
 	}
 }
 
@@ -313,7 +299,7 @@ func TestTickGatingIdleDesignStopsTicking(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let the drained design settle into full sleep, then count skips: with
-	// senders, fifos and always-ready receivers all gated, every partition
+	// senders, fifos and always-ready receivers all gated, the scheduler
 	// should skip its whole tick scan on every idle cycle.
 	for i := 0; i < 3; i++ {
 		if err := s.Step(); err != nil {
@@ -334,35 +320,111 @@ func TestTickGatingIdleDesignStopsTicking(t *testing.T) {
 	}
 }
 
-func TestTieMergesPartitions(t *testing.T) {
-	s := New()
-	senders, _ := buildPipelines(s, 3, 1, false)
-	if err := s.Build(); err != nil {
-		t.Fatal(err)
-	}
-	// Three modules per pipeline, no shared combinational signals.
-	if got := s.Stats().Partitions; got != 9 {
-		t.Fatalf("untied design has %d partitions, want 9", got)
-	}
-	s.Tie(senders[0], senders[2])
-	if err := s.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().Partitions; got != 8 {
-		t.Fatalf("tied design has %d partitions, want 8", got)
+// feeder pushes a payload into a Sender from its own Tick every period
+// cycles: coupling through Go state the signal graph cannot see, which
+// reaches the sender only through Push's Touch and wake hooks.
+type feeder struct {
+	NullEval
+	name   string
+	snd    *Sender
+	period int
+	left   int
+	ticks  int
+}
+
+func (f *feeder) Name() string { return f.name }
+func (f *feeder) Tick() {
+	f.ticks++
+	if f.left > 0 && f.ticks%f.period == 0 {
+		f.snd.Push(payload(f.left))
+		f.left--
 	}
 }
 
-func TestReadsAllFallbackForcesSinglePartition(t *testing.T) {
-	s := New()
-	buildPipelines(s, 3, 1, false)
-	// nopModule does not implement Sensitive, so it gets the ReadsAll
-	// fallback, which must pull the whole design into one partition.
-	s.Register(&nopModule{name: "legacy-style"})
-	if err := s.Build(); err != nil {
-		t.Fatal(err)
+// TestOutOfBandPushMatchesLegacy pins the ordering contract of Touch and
+// the tick wake hook: a feeder registered before its sender lands its Push
+// in the same clock edge, one registered after lands it in the next — on
+// the scheduler exactly as on the legacy kernel, for either order.
+func TestOutOfBandPushMatchesLegacy(t *testing.T) {
+	run := func(legacy, feederFirst bool) []string {
+		s := New()
+		s.SetLegacy(legacy)
+		in := s.NewChannel("in", 4)
+		out := s.NewChannel("out", 4)
+		snd := NewSender("snd", in)
+		fifo := NewFifo("fifo", in, out, 2)
+		rcv := NewReceiver("rcv", out)
+		rcv.Policy = JitterPolicy(NewRand(7), 60)
+		f := &feeder{name: "feeder", snd: snd, period: 3, left: 20}
+		tap := &tapProbe{name: "tap", s: s, ch: out}
+		if feederFirst {
+			s.Register(f, snd, fifo, rcv, tap)
+		} else {
+			s.Register(snd, fifo, rcv, tap, f)
+		}
+		done := func() bool { return f.left == 0 && snd.Idle() && len(tap.log) == 20 }
+		if _, err := s.Run(10000, done); err != nil {
+			t.Fatalf("legacy=%v feederFirst=%v: %v", legacy, feederFirst, err)
+		}
+		return tap.log
 	}
-	if got := s.Stats().Partitions; got != 1 {
-		t.Fatalf("design with a ReadsAll module has %d partitions, want 1", got)
+	for _, first := range []bool{true, false} {
+		ref, got := run(true, first), run(false, first)
+		if fmt.Sprint(got) != fmt.Sprint(ref) {
+			t.Fatalf("feederFirst=%v: scheduler fires %v, legacy %v", first, got, ref)
+		}
+	}
+}
+
+// mirror is a module without a Sensitivity declaration (so it gets the
+// ReadsAll fallback) whose Eval copies one wire onto another it never
+// declares: only the fallback's re-evaluate-on-any-change rule keeps the
+// copy current.
+type mirror struct {
+	src, dst *Wire
+}
+
+func (m *mirror) Name() string { return "mirror" }
+func (m *mirror) Eval()        { m.dst.Set(m.src.Get()) }
+func (m *mirror) Tick()        {}
+
+// TestReadsAllFallbackMatchesLegacy registers a ReadsAll module first, so
+// every wire it copies changes later in registration order: the scheduler
+// must re-run it in a later wave of the same cycle, keep the copy equal to
+// its source after every settle, report the module in ReadsAllModules,
+// and leave the pipelines' fire sequences identical to the legacy kernel's.
+func TestReadsAllFallbackMatchesLegacy(t *testing.T) {
+	run := func(legacy bool) ([]string, Stats) {
+		s := New()
+		s.SetLegacy(legacy)
+		dst := s.NewWire("mirror.dst")
+		m := &mirror{dst: dst}
+		s.Register(m)
+		senders, outs := buildPipelines(s, 3, 10, true)
+		m.src = outs[1].Valid
+		tap := &tapProbe{name: "tap", s: s, ch: outs[1]}
+		s.Register(tap)
+		for c := 0; c < 400; c++ {
+			if err := s.Step(); err != nil {
+				t.Fatalf("legacy=%v: %v", legacy, err)
+			}
+			if dst.Get() != m.src.Get() {
+				t.Fatalf("legacy=%v cycle %d: mirror %v, source %v", legacy, c, dst.Get(), m.src.Get())
+			}
+		}
+		for _, snd := range senders {
+			if !snd.Idle() {
+				t.Fatalf("legacy=%v: pipelines did not drain", legacy)
+			}
+		}
+		return tap.log, s.Stats()
+	}
+	ref, _ := run(true)
+	got, st := run(false)
+	if fmt.Sprint(got) != fmt.Sprint(ref) {
+		t.Fatalf("scheduler fires %v, legacy %v", got, ref)
+	}
+	if len(st.ReadsAllModules) != 1 || st.ReadsAllModules[0] != "mirror" {
+		t.Fatalf("ReadsAllModules = %v, want [mirror]", st.ReadsAllModules)
 	}
 }

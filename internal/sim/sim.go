@@ -117,16 +117,7 @@ type Simulator struct {
 	// Sensitivity-graph schedule, compiled lazily by Build.
 	built bool
 	sched *scheduler
-	ties  [][]Module
 	stats Stats
-
-	// Struct-of-arrays signal state, rebuilt by Build: wire values,
-	// generation counters, and data-bus bytes, grouped by partition. Wires
-	// and Datas are thin handles pointing into these slabs; the fields only
-	// anchor the current slabs against the garbage collector.
-	slabBools []bool
-	slabGens  []uint64
-	slabArena []byte
 
 	// tel, when non-nil, is bound to the schedule at Build time; see
 	// SetTelemetry.
@@ -203,11 +194,7 @@ func (s *Simulator) Step() error {
 		}
 		if (ch.fired || ch.startedNow) && s.sched != nil {
 			for _, mi := range ch.watchers {
-				ms := &s.sched.mods[mi]
-				if !ms.needsTick {
-					ms.needsTick = true
-					s.sched.parts[ms.part].awake++
-				}
+				s.sched.wake(&s.sched.mods[mi])
 			}
 		}
 	}

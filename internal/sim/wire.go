@@ -3,13 +3,11 @@ package sim
 import "bytes"
 
 // sigcore is the scheduler-facing metadata embedded in every signal (Wire
-// and Data): a dense id and partition assigned at Build time, plus the list
-// of modules whose Eval reads the signal. When a signal changes value the
-// scheduler marks those readers pending instead of re-running every module.
+// and Data): the list of modules whose Eval reads the signal, rebuilt by
+// Build. When a signal changes value the scheduler marks those readers
+// pending instead of re-running every module.
 type sigcore struct {
 	sim     *Simulator
-	id      int32
-	part    int32   // owning partition (the driver's component); -1 if unobserved
 	readers []int32 // modules whose Eval reads the signal, ascending
 }
 
@@ -28,25 +26,16 @@ func (g *sigcore) changed() {
 // Wire is a single-bit signal. Writes take effect immediately within the
 // combinational phase; the simulator re-evaluates the modules that read the
 // wire (or, on the legacy kernel, every module) until no wire changes.
-//
-// Storage is struct-of-arrays: the value and generation counter live in
-// slabs owned by the Simulator, grouped by partition. The Wire itself is a
-// thin handle; until the first Build the pointers target the handle's own
-// inline fields.
 type Wire struct {
 	sigcore
-	name string
-	val  bool    // inline storage until Build moves the value into a slab
-	vp   *bool   // current value location (slab after Build)
-	genv uint64  // inline generation storage
-	gp   *uint64 // generation counter location; bumped on every value change
+	name       string
+	val        bool
+	generation uint64 // bumped on every value change
 }
 
 // NewWire creates a named single-bit wire.
 func (s *Simulator) NewWire(name string) *Wire {
 	w := &Wire{sigcore: sigcore{sim: s}, name: name}
-	w.vp = &w.val
-	w.gp = &w.genv
 	s.wires = append(s.wires, w)
 	s.invalidate()
 	return w
@@ -60,19 +49,19 @@ func (w *Wire) Get() bool {
 	if p := w.sim.probe; p != nil {
 		p.onRead(&w.sigcore)
 	}
-	return *w.vp
+	return w.val
 }
 
 // peek reads the value without consulting the sensitivity probe; the
 // scheduler's quiescence scan uses it so batching can never register as a
 // module's signal access.
-func (w *Wire) peek() bool { return *w.vp }
+func (w *Wire) peek() bool { return w.val }
 
 // gen returns the wire's change-generation counter. It increments on every
-// effective Set, never resets (Build carries it across slab rebuilds), and
+// effective Set and never resets (Build leaves signal state alone), which
 // lets observers such as the VCD writer skip compare work for signals that
 // provably did not change.
-func (w *Wire) gen() uint64 { return *w.gp }
+func (w *Wire) gen() uint64 { return w.generation }
 
 // Set drives the wire. A change of value re-triggers the combinational
 // settle of the wire's readers.
@@ -80,29 +69,26 @@ func (w *Wire) Set(v bool) {
 	if p := w.sim.probe; p != nil {
 		p.onWrite(&w.sigcore)
 	}
-	if *w.vp != v {
-		*w.vp = v
-		*w.gp++
+	if w.val != v {
+		w.val = v
+		w.generation++
 		w.sigcore.changed()
 	}
 }
 
 // Data is a multi-byte bus (the DATA payload of a channel, an address bus,
-// and so on). Width is fixed at creation. Like Wire, it is a thin handle:
-// after Build the payload bytes live in a per-partition arena slab.
+// and so on). Width is fixed at creation.
 type Data struct {
 	sigcore
-	name  string
-	width int
-	val   []byte // re-sliced into the partition arena at Build
-	genv  uint64
-	gp    *uint64
+	name       string
+	width      int
+	val        []byte
+	generation uint64 // bumped on every value change
 }
 
 // NewData creates a named bus of width bytes, initialised to zero.
 func (s *Simulator) NewData(name string, width int) *Data {
 	d := &Data{sigcore: sigcore{sim: s}, name: name, width: width, val: make([]byte, width)}
-	d.gp = &d.genv
 	s.datas = append(s.datas, d)
 	s.invalidate()
 	return d
@@ -115,7 +101,7 @@ func (d *Data) Name() string { return d.name }
 func (d *Data) Width() int { return d.width }
 
 // gen returns the bus's change-generation counter; see Wire.gen.
-func (d *Data) gen() uint64 { return *d.gp }
+func (d *Data) gen() uint64 { return d.generation }
 
 // Get returns the bus's current value. The returned slice is the live
 // backing array; callers must not modify it. Use Snapshot for a copy.
@@ -153,7 +139,7 @@ func (d *Data) Set(b []byte) {
 	for i := len(b); i < d.width; i++ {
 		d.val[i] = 0
 	}
-	*d.gp++
+	d.generation++
 	d.sigcore.changed()
 }
 
@@ -194,56 +180,4 @@ func allZero(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// buildSlabs moves every signal's value and generation state into
-// struct-of-arrays slabs grouped by owning partition, so a partition's
-// settle walks contiguous memory. Current values and generation counters
-// are carried over — generations are monotone across rebuilds, which is
-// what lets observers cache them.
-func (s *Simulator) buildSlabs(nparts int) {
-	// Bucket signals by partition; unobserved signals (-1) share a trailing
-	// region.
-	bucket := func(part int32) int {
-		if part < 0 {
-			return nparts
-		}
-		return int(part)
-	}
-	wiresBy := make([][]*Wire, nparts+1)
-	datasBy := make([][]*Data, nparts+1)
-	bytesNeeded := 0
-	for _, w := range s.wires {
-		b := bucket(w.part)
-		wiresBy[b] = append(wiresBy[b], w)
-	}
-	for _, d := range s.datas {
-		b := bucket(d.part)
-		datasBy[b] = append(datasBy[b], d)
-		bytesNeeded += d.width
-	}
-
-	bools := make([]bool, len(s.wires))
-	gens := make([]uint64, len(s.wires)+len(s.datas))
-	arena := make([]byte, bytesNeeded)
-	bi, gi, ai := 0, 0, 0
-	for p := 0; p <= nparts; p++ {
-		for _, w := range wiresBy[p] {
-			bools[bi] = *w.vp
-			gens[gi] = *w.gp
-			w.vp = &bools[bi]
-			w.gp = &gens[gi]
-			bi++
-			gi++
-		}
-		for _, d := range datasBy[p] {
-			gens[gi] = *d.gp
-			d.gp = &gens[gi]
-			gi++
-			copy(arena[ai:ai+d.width], d.val)
-			d.val = arena[ai : ai+d.width : ai+d.width]
-			ai += d.width
-		}
-	}
-	s.slabBools, s.slabGens, s.slabArena = bools, gens, arena
 }

@@ -34,9 +34,8 @@ func (k Kind) String() string {
 	return "untyped"
 }
 
-// Counter is a monotonically increasing shard. The shard is padded to a
-// cache line because shards of different partitions are written from
-// parallel workers.
+// Counter is a monotonically increasing shard, padded to a cache line so
+// shards registered back to back never share one.
 type Counter struct {
 	n uint64
 	_ [56]byte

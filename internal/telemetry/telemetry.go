@@ -14,8 +14,8 @@
 // The hot path is lock-free by ownership, not by atomics: every call to
 // Sink.Counter (Gauge, Histogram) returns a fresh shard registered under
 // the shared series identity, and each shard is owned by exactly one
-// instrumentation site. Vidi's partitioned scheduler guarantees a module's
-// Eval/Tick runs on one goroutine at a time, so shard mutation is plain
+// instrumentation site. A simulation runs entirely on its caller's
+// goroutine, so a module's Eval/Tick shard mutation is plain
 // single-writer arithmetic; Gather folds the shards into one value per
 // series after the run, off the hot path. This is why `-race` golden runs
 // stay byte-identical with telemetry armed.
@@ -132,7 +132,7 @@ func (s *Sink) Tracing() bool { return s != nil && s.tracer != nil }
 
 // OnGather registers a callback run at the start of every Gather and
 // WriteTrace. Components that keep private counters on their own structs
-// (the scheduler's per-partition counters) register a fold-the-deltas
+// (the scheduler's counters) register a fold-the-deltas
 // callback here instead of touching telemetry on the hot path at all.
 func (s *Sink) OnGather(f func()) {
 	if s == nil || f == nil {
