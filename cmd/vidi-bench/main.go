@@ -10,14 +10,16 @@
 //	vidi-bench -table effectiveness  # §5.4 divergence experiment
 //	vidi-bench -table bandwidth      # §6 back-of-the-envelope analysis
 //	vidi-bench -table faults         # fault-injection resilience matrix
-//	vidi-bench -table kernel         # simulation-kernel throughput (legacy vs scheduler)
-//	vidi-bench -table kernel -baseline BENCH_kernel.json   # fail on >10% speedup regression
+//	vidi-bench -table kernel         # simulation-kernel counters (legacy vs scheduler)
+//	vidi-bench -table kernel -baseline BENCH_kernel.json   # fail on any counter change
 //	vidi-bench -table kernel -json BENCH_kernel.json   # + machine-readable artifact
 //	vidi-bench -table kernel -metrics BENCH_metrics.json   # + merged telemetry snapshot
 //	vidi-bench -all
 //
-// -v prints the simulation kernel's scheduler counters (eval calls, settle
-// waves, skipped evals, skipped ticks) for every run it performs.
+// The kernel table holds deterministic counters only. Every artifact is
+// written before the -baseline gate runs, so a failing gate leaves the fresh
+// table to diff against the committed one. Wall-clock simulation throughput is
+// perfbench's record workload.
 //
 // With -table kernel, -metrics writes the merged telemetry snapshot of the
 // instrumented runs (each app's series labelled app=<name>; inspect with
@@ -50,11 +52,10 @@ func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 7")
 	all := flag.Bool("all", false, "regenerate everything")
 	scale := flag.Int("scale", 1, "workload scale factor")
-	reps := flag.Int("reps", 3, "paired R1/R2 runs per app for overhead statistics (paper uses 10)")
+	reps := flag.Int("reps", 3, "with -table 1: paired R1/R2 runs per app for overhead statistics (paper uses 10)")
 	seed := flag.Int64("seed", 1000, "base seed")
-	verbose := flag.Bool("v", false, "print per-run simulation-kernel scheduler counters")
 	jsonOut := flag.String("json", "", "with -table kernel: also write the rows to this JSON file")
-	baseline := flag.String("baseline", "", "with -table kernel: committed BENCH_kernel.json to gate against (fail if any app's speedup drops >10% below it)")
+	baseline := flag.String("baseline", "", "with -table kernel: committed BENCH_kernel.json to gate against (fail if any counter differs)")
 	tel := cliutil.AddTelemetryFlags()
 	flag.Parse()
 
@@ -121,10 +122,10 @@ func main() {
 	}
 	if *all || *table == "kernel" {
 		ran = true
-		fmt.Println("== Simulation-kernel throughput: legacy fixpoint vs sensitivity scheduler ==")
+		fmt.Println("== Simulation-kernel counters: legacy fixpoint vs sensitivity scheduler ==")
 		// The baseline loads before the run so -json may safely overwrite the
-		// committed artifact with the fresh rows afterwards.
-		var base map[string]eval.KernelBenchRow
+		// committed artifact with the fresh table afterwards.
+		var base *eval.KernelTable
 		if *baseline != "" {
 			var err error
 			if base, err = eval.LoadKernelBenchJSON(*baseline); err != nil {
@@ -132,27 +133,13 @@ func main() {
 			}
 		}
 		apps := append(eval.DefaultTableApps(), "dma-irq", "stress")
-		rows, stats, snap, err := eval.KernelBench(apps, *scale, *reps, *seed)
+		tab, snap, err := eval.KernelBench(apps, *scale, *seed)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Print(eval.FormatKernelBench(rows))
-		fmt.Printf("geomean speedup: %.2fx\n", eval.GeomeanSpeedup(rows))
-		if base != nil {
-			if err := eval.CheckKernelBaseline(base, rows, 10); err != nil {
-				fail(err)
-			}
-			fmt.Printf("baseline gate: ok (no app >10%% below %s)\n", *baseline)
-		}
-		if *verbose {
-			for _, r := range rows {
-				st := stats[r.App]
-				fmt.Printf("  %-9s legacy    %v\n", r.App, st.Legacy)
-				fmt.Printf("  %-9s scheduler %v\n", r.App, st.Sched)
-			}
-		}
+		fmt.Print(eval.FormatKernelBench(tab.Rows))
 		if *jsonOut != "" {
-			if err := eval.WriteKernelBenchJSON(*jsonOut, *scale, *reps, *seed, rows); err != nil {
+			if err := eval.WriteKernelBenchJSON(*jsonOut, tab); err != nil {
 				fail(err)
 			}
 			fmt.Printf("wrote %s\n", *jsonOut)
@@ -164,9 +151,8 @@ func main() {
 			fmt.Printf("merged metrics written to %s (inspect with vidi-top -metrics)\n", tel.MetricsPath)
 		}
 		if tel.TracePath != "" {
-			// The timed runs above stay untraced (span recording would taint
-			// the sink-overhead column); tracing gets one dedicated recording
-			// per app instead.
+			// The counted runs above stay untraced; tracing gets one
+			// dedicated recording per app.
 			for _, app := range apps {
 				sink := telemetry.New(telemetry.WithTracing())
 				if _, err := eval.Run(eval.RunConfig{App: app, Scale: *scale, Seed: *seed, Cfg: eval.R2, Telemetry: sink}); err != nil {
@@ -179,6 +165,12 @@ func main() {
 				fmt.Printf("timeline written to %s (open in ui.perfetto.dev)\n", path)
 			}
 		}
+		if base != nil {
+			if err := eval.CheckKernelBaseline(base, tab); err != nil {
+				fail(err)
+			}
+			fmt.Printf("baseline gate: ok (every counter equals %s)\n", *baseline)
+		}
 		fmt.Println()
 	}
 	if *all || *table == "bandwidth" {
@@ -186,18 +178,6 @@ func main() {
 		fmt.Println("== §6: physical-timestamp recording bandwidth analysis ==")
 		fmt.Println(eval.Section6())
 		fmt.Println()
-	}
-	if !ran && *verbose {
-		// Bare -v: one recording per app, printing the scheduler counters.
-		ran = true
-		fmt.Println("== Simulation-kernel scheduler counters (one R2 recording per app) ==")
-		for _, app := range append(eval.DefaultTableApps(), "dma-irq", "stress") {
-			res, err := eval.Run(eval.RunConfig{App: app, Scale: *scale, Seed: *seed, Cfg: eval.R2})
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("%-9s %v\n", app, res.Stats)
-		}
 	}
 	if !ran {
 		flag.Usage()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"vidi/internal/serve"
+	"vidi/internal/telemetry"
 )
 
 func drain(t *testing.T, mode string, rows []row) []string {
@@ -112,5 +114,31 @@ func TestRenderLoadReport(t *testing.T) {
 
 	if err := renderLoad(&sb, filepath.Join(t.TempDir(), "missing.json"), 10); err == nil {
 		t.Fatal("renderLoad on a missing file should error")
+	}
+}
+
+// TestRenderCPUJitter: the shell's CPU-jitter summary renders as a draw
+// count and mean, from a gathered snapshot and from its scraped text alike.
+func TestRenderCPUJitter(t *testing.T) {
+	sink := telemetry.New()
+	q := sink.Quantile("vidi_cpu_jitter_cycles", "Seeded inter-op delays drawn by CPU agent threads.")
+	for _, v := range []float64{0, 2, 7} {
+		q.Observe(v)
+	}
+	snap := sink.Gather()
+	var text bytes.Buffer
+	if err := snap.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	scraped, err := telemetry.ParsePrometheus(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*telemetry.Snapshot{snap, scraped} {
+		var out bytes.Buffer
+		renderStalls(&out, s)
+		if !strings.Contains(out.String(), "cpu jitter draws                          3 (mean 3.0 cycles)") {
+			t.Fatalf("jitter line missing:\n%s", out.String())
+		}
 	}
 }

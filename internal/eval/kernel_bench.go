@@ -3,262 +3,190 @@ package eval
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
-	"runtime"
-	"runtime/debug"
 	"strings"
-	"time"
 
-	"vidi/internal/sim"
 	"vidi/internal/telemetry"
 )
 
-// KernelBenchRow compares one application's R2 recording throughput under
-// the legacy re-evaluate-everything fixpoint kernel and the sensitivity-
-// graph scheduler, together with the scheduler counters explaining the
-// difference.
+// KernelBenchRow holds one application's deterministic simulation-kernel
+// counters: the legacy re-evaluate-everything fixpoint's eval calls next to
+// the sensitivity-graph scheduler's counters for the same R2 recording.
+// Every field repeats exactly for a given seed and scale, so the baseline
+// gate compares them for equality; wall-clock throughput is perfbench's
+// record workload (record.sim.run_ms, record.sim.ns_per_cycle,
+// sim_cycles_per_s).
 type KernelBenchRow struct {
-	App       string  `json:"app"`
-	Cycles    uint64  `json:"cycles"`
-	LegacySec float64 `json:"legacy_sec"`
-	SchedSec  float64 `json:"sched_sec"`
-	LegacyCPS float64 `json:"legacy_cycles_per_sec"`
-	SchedCPS  float64 `json:"sched_cycles_per_sec"`
-	Speedup   float64 `json:"speedup"`
-
-	// The scheduler run repeated with an armed metrics sink, and the
-	// relative throughput cost of instrumentation ((sched-sink)/sched; the
-	// acceptance budget is 2%).
-	SinkSec      float64 `json:"sink_sec"`
-	SinkCPS      float64 `json:"sink_cycles_per_sec"`
-	SinkDeltaPct float64 `json:"sink_delta_pct"`
-
+	App           string `json:"app"`
+	Cycles        uint64 `json:"cycles"`
 	LegacyEvals   uint64 `json:"legacy_eval_calls"`
 	SchedEvals    uint64 `json:"sched_eval_calls"`
+	SettleWaves   uint64 `json:"sched_settle_waves"`
 	SkippedEvals  uint64 `json:"sched_skipped_evals"`
 	SkippedTicks  uint64 `json:"sched_skipped_ticks"`
 	BatchedCycles uint64 `json:"sched_batched_cycles"`
+	// ReadsAll counts the modules scheduled with the conservative ReadsAll
+	// fallback (re-evaluated on every wave in which anything changed).
+	ReadsAll   uint64 `json:"readsall_modules"`
+	TraceBytes uint64 `json:"trace_bytes"`
 }
 
-// KernelStats holds the raw scheduler counters of the two runs behind a
-// row, for `vidi-bench -table kernel -v`.
-type KernelStats struct {
-	Legacy sim.Stats
-	Sched  sim.Stats
+// kernelCounter is one named counter of a row.
+type kernelCounter struct {
+	name string
+	v    uint64
 }
 
-// KernelBench measures each application's R2 recording wall-clock under
-// both kernels and reports cycles/second and the speedup, plus a third
-// scheduler run with an armed metrics sink that prices the instrumentation
-// overhead. reps repeats each timed run and keeps the fastest (classic
-// best-of-N to shed scheduler/GC noise); the kernels must agree on the
-// cycle count or the row errors out — throughput comparisons between
-// diverging executions would be meaningless.
+// counters lists the row's counters under their JSON names, the unit the
+// baseline gate compares.
+func (r KernelBenchRow) counters() []kernelCounter {
+	return []kernelCounter{
+		{"cycles", r.Cycles},
+		{"legacy_eval_calls", r.LegacyEvals},
+		{"sched_eval_calls", r.SchedEvals},
+		{"sched_settle_waves", r.SettleWaves},
+		{"sched_skipped_evals", r.SkippedEvals},
+		{"sched_skipped_ticks", r.SkippedTicks},
+		{"sched_batched_cycles", r.BatchedCycles},
+		{"readsall_modules", r.ReadsAll},
+		{"trace_bytes", r.TraceBytes},
+	}
+}
+
+// KernelTable is the kernel table with the parameters that determine it:
+// the BENCH_kernel.json layout.
+type KernelTable struct {
+	Scale int              `json:"scale"`
+	Seed  int64            `json:"seed"`
+	Rows  []KernelBenchRow `json:"rows"`
+}
+
+// KernelBench runs two R2 recordings per application: one on the legacy
+// kernel and one instrumented scheduler run. Both must pass the golden check
+// and agree on the cycle count and trace size, or the row errors out.
 //
 // The returned snapshot merges every instrumented run's metrics, each
 // app's series carrying an app=<name> const label — the artifact vidi-top
 // and the CI bench job consume.
-//
-//lint:detaudit wall-clock measurement is the benchmark's deliverable; every timed run's cycle count and trace are separately checked for determinism
-func KernelBench(appNames []string, scale, reps int, seed int64) ([]KernelBenchRow, map[string]KernelStats, *telemetry.Snapshot, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	timed := func(app string, legacy bool) (time.Duration, *RunResult, error) {
-		best := time.Duration(0)
-		var res *RunResult
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			out, err := Run(RunConfig{App: app, Scale: scale, Seed: seed, Cfg: R2, LegacyKernel: legacy})
-			el := time.Since(start)
-			if err != nil {
-				return 0, nil, err
-			}
-			if out.CheckErr != nil {
-				return 0, nil, fmt.Errorf("%s golden check: %w", app, out.CheckErr)
-			}
-			if res == nil || el < best {
-				best, res = el, out
-			}
+func KernelBench(appNames []string, scale int, seed int64) (*KernelTable, *telemetry.Snapshot, error) {
+	run := func(app string, legacy bool, sink *telemetry.Sink) (*RunResult, error) {
+		out, err := Run(RunConfig{App: app, Scale: scale, Seed: seed, Cfg: R2, LegacyKernel: legacy, Telemetry: sink})
+		if err == nil && out.CheckErr != nil {
+			err = fmt.Errorf("golden check: %w", out.CheckErr)
 		}
-		return best, res, nil
+		return out, err
 	}
-	rows := make([]KernelBenchRow, 0, len(appNames))
-	stats := make(map[string]KernelStats, len(appNames))
+	tab := &KernelTable{Scale: scale, Seed: seed, Rows: make([]KernelBenchRow, 0, len(appNames))}
 	var snaps []*telemetry.Snapshot
 	for _, app := range appNames {
-		legDur, leg, err := timed(app, true)
+		leg, err := run(app, true, nil)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("kernel bench %s legacy: %w", app, err)
+			return nil, nil, fmt.Errorf("kernel bench %s legacy: %w", app, err)
 		}
-		schDur, sch, err := timed(app, false)
+		sink := telemetry.New(telemetry.WithConstLabels(telemetry.L("app", app)))
+		sch, err := run(app, false, sink)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("kernel bench %s scheduler: %w", app, err)
+			return nil, nil, fmt.Errorf("kernel bench %s scheduler: %w", app, err)
 		}
-		if sch.Cycles != leg.Cycles {
-			return nil, nil, nil, fmt.Errorf("kernel bench %s: kernels diverge (legacy %d cycles, scheduler %d)",
-				app, leg.Cycles, sch.Cycles)
-		}
-		// The instrumented run arms a fresh metrics sink per repetition so
-		// each gathers one run's worth of counts; the last rep's snapshot is
-		// kept (the run is deterministic, so they are all identical).
-		var sink *telemetry.Sink
-		sinkDur := time.Duration(0)
-		var snk *RunResult
-		for r := 0; r < reps; r++ {
-			s := telemetry.New(telemetry.WithConstLabels(telemetry.L("app", app)))
-			start := time.Now()
-			out, err := Run(RunConfig{App: app, Scale: scale, Seed: seed, Cfg: R2, Telemetry: s})
-			el := time.Since(start)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("kernel bench %s instrumented: %w", app, err)
-			}
-			if out.CheckErr != nil {
-				return nil, nil, nil, fmt.Errorf("kernel bench %s instrumented: golden check: %w", app, out.CheckErr)
-			}
-			if snk == nil || el < sinkDur {
-				sinkDur, snk, sink = el, out, s
-			}
-		}
-		if sch.Cycles != snk.Cycles {
-			return nil, nil, nil, fmt.Errorf("kernel bench %s: kernels diverge (scheduler %d cycles, instrumented %d)",
-				app, sch.Cycles, snk.Cycles)
+		legBytes, schBytes := leg.Trace.SizeBytes(), sch.Trace.SizeBytes()
+		if sch.Cycles != leg.Cycles || schBytes != legBytes {
+			return nil, nil, fmt.Errorf("kernel bench %s: kernels diverge (legacy %d cycles %d trace bytes, scheduler %d cycles %d trace bytes)",
+				app, leg.Cycles, legBytes, sch.Cycles, schBytes)
 		}
 		snaps = append(snaps, sink.Gather())
-		row := KernelBenchRow{
-			App:       app,
-			Cycles:    leg.Cycles,
-			LegacySec: legDur.Seconds(),
-			SchedSec:  schDur.Seconds(),
-			SinkSec:   sinkDur.Seconds(),
-			LegacyCPS: float64(leg.Cycles) / legDur.Seconds(),
-			SchedCPS:  float64(sch.Cycles) / schDur.Seconds(),
-			SinkCPS:   float64(snk.Cycles) / sinkDur.Seconds(),
-
+		st := sch.Stats
+		tab.Rows = append(tab.Rows, KernelBenchRow{
+			App:           app,
+			Cycles:        sch.Cycles,
 			LegacyEvals:   leg.Stats.EvalCalls,
-			SchedEvals:    sch.Stats.EvalCalls,
-			SkippedEvals:  sch.Stats.SkippedEvals,
-			SkippedTicks:  sch.Stats.SkippedTicks,
-			BatchedCycles: sch.Stats.BatchedCycles,
-		}
-		row.Speedup = row.SchedCPS / row.LegacyCPS
-		row.SinkDeltaPct = 100 * (row.SchedCPS - row.SinkCPS) / row.SchedCPS
-		rows = append(rows, row)
-		stats[app] = KernelStats{Legacy: leg.Stats, Sched: sch.Stats}
+			SchedEvals:    st.EvalCalls,
+			SettleWaves:   st.SettleWaves,
+			SkippedEvals:  st.SkippedEvals,
+			SkippedTicks:  st.SkippedTicks,
+			BatchedCycles: st.BatchedCycles,
+			ReadsAll:      uint64(len(st.ReadsAllModules)),
+			TraceBytes:    uint64(schBytes),
+		})
 	}
 	merged, err := telemetry.MergeSnapshots(snaps...)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("kernel bench: merging snapshots: %w", err)
+		return nil, nil, fmt.Errorf("kernel bench: merging snapshots: %w", err)
 	}
-	return rows, stats, merged, nil
+	return tab, merged, nil
 }
 
-// FormatKernelBench renders the kernel throughput table.
+// FormatKernelBench renders the kernel counter table.
 func FormatKernelBench(rows []KernelBenchRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-9s %10s %14s %14s %8s %8s %12s %10s\n",
-		"App", "cycles", "legacy cyc/s", "sched cyc/s", "speedup", "sink Δ%", "legacy evals", "batched")
+	fmt.Fprintf(&b, "%-9s %8s %12s %9s %9s %12s %12s %8s %8s %10s\n",
+		"App", "cycles", "legacy evals", "evals", "waves", "skip evals", "skip ticks", "batched", "readsall", "trace B")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-9s %10d %14.0f %14.0f %7.2fx %7.2f%% %12d %10d\n",
-			r.App, r.Cycles, r.LegacyCPS, r.SchedCPS, r.Speedup, r.SinkDeltaPct,
-			r.LegacyEvals, r.BatchedCycles)
+		fmt.Fprintf(&b, "%-9s %8d %12d %9d %9d %12d %12d %8d %8d %10d\n",
+			r.App, r.Cycles, r.LegacyEvals, r.SchedEvals, r.SettleWaves,
+			r.SkippedEvals, r.SkippedTicks, r.BatchedCycles, r.ReadsAll, r.TraceBytes)
 	}
 	return b.String()
 }
 
-// GeomeanSpeedup is the geometric-mean scheduler speedup over the rows, the
-// headline number of the kernel table.
-func GeomeanSpeedup(rows []KernelBenchRow) float64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	logsum := 0.0
-	for _, r := range rows {
-		logsum += math.Log(r.Speedup)
-	}
-	return math.Exp(logsum / float64(len(rows)))
-}
-
-// kernelBenchFile is the BENCH_kernel.json layout. GOMAXPROCS and the build
-// mode record how the numbers were produced: a -race build runs several
-// times slower.
-type kernelBenchFile struct {
-	Scale      int              `json:"scale"`
-	Reps       int              `json:"reps"`
-	Seed       int64            `json:"seed"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	BuildMode  string           `json:"build_mode"`
-	Rows       []KernelBenchRow `json:"rows"`
-}
-
-// buildMode names how the running binary was compiled: "race" or "normal".
-func buildMode() string {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, st := range bi.Settings {
-			if st.Key == "-race" && st.Value == "true" {
-				return "race"
-			}
-		}
-	}
-	return "normal"
-}
-
-// WriteKernelBenchJSON writes the rows (with their run parameters and the
-// current GOMAXPROCS and build mode) as the BENCH_kernel.json artifact
-// consumed by CI's bench smoke job.
-func WriteKernelBenchJSON(path string, scale, reps int, seed int64, rows []KernelBenchRow) error {
-	buf, err := json.MarshalIndent(kernelBenchFile{
-		Scale: scale, Reps: reps, Seed: seed,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), BuildMode: buildMode(), Rows: rows,
-	}, "", "  ")
+// WriteKernelBenchJSON writes the table as the BENCH_kernel.json artifact.
+func WriteKernelBenchJSON(path string, tab *KernelTable) error {
+	buf, err := json.MarshalIndent(tab, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// LoadKernelBenchJSON reads a committed BENCH_kernel.json and returns its
-// rows keyed by app name, for the bench regression gate.
-func LoadKernelBenchJSON(path string) (map[string]KernelBenchRow, error) {
+// LoadKernelBenchJSON reads a committed BENCH_kernel.json.
+func LoadKernelBenchJSON(path string) (*KernelTable, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var f kernelBenchFile
-	if err := json.Unmarshal(buf, &f); err != nil {
+	var tab KernelTable
+	if err := json.Unmarshal(buf, &tab); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	out := make(map[string]KernelBenchRow, len(f.Rows))
-	for _, r := range f.Rows {
-		out[r.App] = r
-	}
-	return out, nil
+	return &tab, nil
 }
 
-// CheckKernelBaseline is CI's bench regression gate: it compares fresh rows
-// against the committed baseline and errors if any app's scheduler speedup
-// dropped more than tolPct percent below its previous value. Apps absent
-// from the baseline pass (new rows are allowed in); apps absent from the
-// fresh run are ignored (the gate guards regressions, not coverage — the
-// golden tests own coverage).
-func CheckKernelBaseline(baseline map[string]KernelBenchRow, rows []KernelBenchRow, tolPct float64) error {
-	var regressions []string
-	for _, r := range rows {
-		base, ok := baseline[r.App]
-		if !ok || base.Speedup <= 0 {
+// CheckKernelBaseline is CI's exact kernel gate. It refuses a baseline made
+// with a different seed, scale or app set, and fails on any counter that
+// differs, naming the app, the counter and both values. Every counter is
+// deterministic, so an unchanged tree always passes; an intended change is
+// accepted by committing the fresh table.
+func CheckKernelBaseline(baseline, run *KernelTable) error {
+	if baseline.Seed != run.Seed || baseline.Scale != run.Scale {
+		return fmt.Errorf("kernel baseline is for seed %d scale %d, this run is seed %d scale %d",
+			baseline.Seed, baseline.Scale, run.Seed, run.Scale)
+	}
+	base := make(map[string]KernelBenchRow, len(baseline.Rows))
+	for _, r := range baseline.Rows {
+		base[r.App] = r
+	}
+	var diffs []string
+	for _, r := range run.Rows {
+		b, ok := base[r.App]
+		if !ok {
+			diffs = append(diffs, fmt.Sprintf("%s: not in baseline", r.App))
 			continue
 		}
-		floor := base.Speedup * (1 - tolPct/100)
-		if r.Speedup < floor {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: speedup %.2fx < %.2fx (baseline %.2fx - %.0f%%)",
-					r.App, r.Speedup, floor, base.Speedup, tolPct))
+		delete(base, r.App)
+		bc := b.counters()
+		for i, c := range r.counters() {
+			if c.v != bc[i].v {
+				diffs = append(diffs, fmt.Sprintf("%s: %s baseline %d, run %d", r.App, c.name, bc[i].v, c.v))
+			}
 		}
 	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("kernel bench regression vs committed baseline:\n  %s",
-			strings.Join(regressions, "\n  "))
+	for _, b := range baseline.Rows {
+		if _, missing := base[b.App]; missing {
+			diffs = append(diffs, fmt.Sprintf("%s: in baseline, not in this run", b.App))
+		}
+	}
+	if len(diffs) > 0 {
+		return fmt.Errorf("kernel counters differ from the baseline (commit the fresh table if the change is intended):\n  %s",
+			strings.Join(diffs, "\n  "))
 	}
 	return nil
 }

@@ -269,7 +269,7 @@ type Stats struct {
 	ReadsAllModules []string
 }
 
-// String formats the counters for vidi-bench -v.
+// String formats the counters for logs and test failure messages.
 func (st Stats) String() string {
 	s := fmt.Sprintf(
 		"cycles=%d evals=%d waves=%d skipped=%d ticks-skipped=%d",

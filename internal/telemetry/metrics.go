@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -11,11 +9,10 @@ import (
 // Kind is a metric family's type.
 type Kind uint8
 
-// The four instrument kinds.
+// The three instrument kinds.
 const (
 	KindCounter Kind = iota
 	KindGauge
-	KindHistogram
 	KindQuantile
 )
 
@@ -26,8 +23,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	case KindQuantile:
 		return "summary"
 	}
@@ -76,57 +71,21 @@ func (g *Gauge) Add(v float64) {
 	}
 }
 
-// Histogram is a fixed-bucket distribution shard.
-type Histogram struct {
-	bounds []float64 // inclusive upper bounds, ascending, finite
-	counts []uint64  // len(bounds)+1; the last is the +Inf overflow bucket
-	sum    float64
-	total  uint64
-}
-
-// Observe records one sample. No-op on a nil receiver.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.total++
-}
-
-// ExpBuckets returns n bucket bounds start, start*factor, ... for
-// Sink.Histogram.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("telemetry: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	b := make([]float64, n)
-	v := start
-	for i := range b {
-		b[i] = v
-		v *= factor
-	}
-	return b
-}
-
 // series is one label combination of a family: the fold target for all
 // shards registered under the same identity.
 type series struct {
 	labels   []Label // sorted by key
 	counters []*Counter
 	gauges   []*Gauge
-	hists    []*Histogram
 	quants   []*QuantileHistogram
 }
 
 // family is one metric name: its kind, help and series.
 type family struct {
-	name    string
-	help    string
-	kind    Kind
-	buckets []float64 // histogram families share one bucket layout
-	series  map[string]*series
+	name   string
+	help   string
+	kind   Kind
+	series map[string]*series
 }
 
 // Registry holds metric families. Registration takes a mutex (it happens at
@@ -185,32 +144,6 @@ func (r *Registry) gauge(name, help string, labels []Label) *Gauge {
 	return g
 }
 
-func (r *Registry) histogram(name, help string, buckets []float64, labels []Label) *Histogram {
-	if len(buckets) == 0 {
-		panic(fmt.Sprintf("telemetry: histogram %q needs at least one bucket", name))
-	}
-	for i, b := range buckets {
-		if math.IsInf(b, 0) || math.IsNaN(b) {
-			panic(fmt.Sprintf("telemetry: histogram %q has a non-finite bucket", name))
-		}
-		if i > 0 && buckets[i-1] >= b {
-			panic(fmt.Sprintf("telemetry: histogram %q buckets must ascend", name))
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.family(name, help, KindHistogram)
-	if f.buckets == nil {
-		f.buckets = append([]float64(nil), buckets...)
-	} else if !equalBuckets(f.buckets, buckets) {
-		panic(fmt.Sprintf("telemetry: histogram %q re-registered with different buckets", name))
-	}
-	h := &Histogram{bounds: f.buckets, counts: make([]uint64, len(f.buckets)+1)}
-	se := f.at(labels)
-	se.hists = append(se.hists, h)
-	return h
-}
-
 func (r *Registry) quantile(name, help string, labels []Label) *QuantileHistogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -227,18 +160,6 @@ func (r *Registry) flush() {
 	for _, f := range fs {
 		f()
 	}
-}
-
-func equalBuckets(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // labelKey is the canonical series identity for a sorted label set.

@@ -16,8 +16,9 @@ import (
 // endpoint, so a running server needs no second exchange format.
 //
 // The parser accepts what WritePrometheus emits plus the usual latitude of
-// the exposition format: families in any order, HELP optional, histogram
-// series reassembled from their _bucket/_sum/_count expansion. Undeclared
+// the exposition format: families in any order, HELP optional, and a
+// foreign histogram family folded to its _sum and _count (its _bucket
+// lines are skipped: one histogram type, the summary, is enough). Undeclared
 // sample names (no # TYPE line) are folded in as untyped value series so a
 // foreign exporter still renders.
 func ParsePrometheus(r io.Reader) (*Snapshot, error) {
@@ -55,14 +56,11 @@ type promFamily struct {
 }
 
 type promSeries struct {
-	labels  map[string]string
-	value   float64
-	sum     float64
-	count   uint64
-	hasInf  bool
-	infCnt  uint64
-	buckets map[float64]uint64
-	quants  map[float64]float64
+	labels map[string]string
+	value  float64
+	sum    float64
+	count  uint64
+	quants map[float64]float64
 }
 
 type promParser struct {
@@ -137,34 +135,17 @@ func (p *promParser) sample(line string) error {
 		if !ok || (f.kind != "histogram" && f.kind != "summary") {
 			continue
 		}
-		if suffix == "_bucket" && f.kind == "summary" {
-			continue // a summary has no buckets; treat X_bucket as its own name
+		if suffix == "_bucket" {
+			if f.kind == "summary" {
+				continue // a summary has no buckets; treat X_bucket as its own name
+			}
+			return nil // histogram buckets are skipped; _sum and _count carry the fold
 		}
-		le, hasLE := labels["le"]
-		if suffix == "_bucket" && !hasLE {
-			return fmt.Errorf("sample %q: histogram bucket without le label", line)
-		}
-		delete(labels, "le")
 		se := f.at(labels)
-		switch suffix {
-		case "_sum":
+		if suffix == "_sum" {
 			se.sum += val
-		case "_count":
+		} else {
 			se.count += uint64(val)
-		case "_bucket":
-			if le == "+Inf" {
-				se.hasInf = true
-				se.infCnt = uint64(val)
-				return nil
-			}
-			bound, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				return fmt.Errorf("sample %q: bad le %q", line, le)
-			}
-			if se.buckets == nil {
-				se.buckets = map[float64]uint64{}
-			}
-			se.buckets[bound] = uint64(val)
 		}
 		return nil
 	}
@@ -302,19 +283,6 @@ func (p *promParser) snapshot() *Snapshot {
 			ss := SeriesSnap{Value: se.value, Sum: se.sum, Count: se.count}
 			if len(se.labels) > 0 {
 				ss.Labels = se.labels
-			}
-			if f.kind == "histogram" {
-				if ss.Count == 0 && se.hasInf {
-					ss.Count = se.infCnt
-				}
-				bounds := make([]float64, 0, len(se.buckets))
-				for b := range se.buckets {
-					bounds = append(bounds, b)
-				}
-				sort.Float64s(bounds)
-				for _, b := range bounds {
-					ss.Buckets = append(ss.Buckets, Bucket{LE: b, Count: se.buckets[b]})
-				}
 			}
 			if f.kind == "summary" && len(se.quants) > 0 {
 				qs := make([]float64, 0, len(se.quants))

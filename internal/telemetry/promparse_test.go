@@ -10,7 +10,7 @@ import (
 
 // TestPrometheusRoundTrip gathers a mixed registry, writes the text
 // exposition, parses it back, and demands the snapshot survives: same
-// family names/kinds, same folded values, same histogram buckets.
+// family names/kinds, same folded values, same summary quantile points.
 func TestPrometheusRoundTrip(t *testing.T) {
 	sink := New(WithConstLabels(L("app", "sssp")))
 	c := sink.Counter("vidi_rt_events_total", "Events with a \"quoted\" label.", L("kind", "link-brownout"))
@@ -18,9 +18,9 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	c.Inc()
 	g := sink.Gauge("vidi_rt_depth", "Queue depth.")
 	g.Set(3.5)
-	h := sink.Histogram("vidi_rt_latency_cycles", "Latency.", ExpBuckets(1, 4, 3))
+	q := sink.Quantile("vidi_rt_latency_cycles", "Latency.")
 	for _, v := range []float64{0.5, 2, 2, 9, 100} {
-		h.Observe(v)
+		q.Observe(v)
 	}
 
 	want := sink.Gather()
@@ -60,20 +60,21 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	hf := got.Family("vidi_rt_latency_cycles")
 	whf := want.Family("vidi_rt_latency_cycles")
 	if hf == nil || len(hf.Series) != 1 {
-		t.Fatalf("histogram family missing: %+v", hf)
+		t.Fatalf("summary family missing: %+v", hf)
 	}
 	gs, ws := hf.Series[0], whf.Series[0]
 	if gs.Count != ws.Count || gs.Sum != ws.Sum {
-		t.Errorf("histogram sum/count: got %v/%d, want %v/%d", gs.Sum, gs.Count, ws.Sum, ws.Count)
+		t.Errorf("summary sum/count: got %v/%d, want %v/%d", gs.Sum, gs.Count, ws.Sum, ws.Count)
 	}
-	if !reflect.DeepEqual(gs.Buckets, ws.Buckets) {
-		t.Errorf("histogram buckets: got %v, want %v", gs.Buckets, ws.Buckets)
+	if len(ws.Quantiles) == 0 || !reflect.DeepEqual(gs.Quantiles, ws.Quantiles) {
+		t.Errorf("summary quantiles: got %v, want %v", gs.Quantiles, ws.Quantiles)
 	}
 }
 
 // TestParsePrometheusForeign exercises latitude the exposition format
 // allows but our writer never emits: no HELP, untyped samples, timestamps,
-// blank and comment lines.
+// blank and comment lines, and a histogram family, which folds to its _sum
+// and _count with the _bucket lines skipped.
 func TestParsePrometheusForeign(t *testing.T) {
 	text := strings.Join([]string{
 		"# a bare comment",
@@ -81,6 +82,11 @@ func TestParsePrometheusForeign(t *testing.T) {
 		"up 1",
 		"requests_total{code=\"200\"} 7 1712000000000",
 		"requests_total{code=\"500\"} 1",
+		"# TYPE rpc_seconds histogram",
+		"rpc_seconds_bucket{code=\"200\",le=\"0.1\"} 2",
+		"rpc_seconds_bucket{code=\"200\",le=\"+Inf\"} 3",
+		"rpc_seconds_sum{code=\"200\"} 0.5",
+		"rpc_seconds_count{code=\"200\"} 3",
 	}, "\n")
 	snap, err := ParsePrometheus(strings.NewReader(text))
 	if err != nil {
@@ -91,6 +97,16 @@ func TestParsePrometheusForeign(t *testing.T) {
 	}
 	if v := snap.Total("requests_total"); v != 8 {
 		t.Errorf("requests_total: got %v", v)
+	}
+	h := snap.Family("rpc_seconds")
+	if h == nil || h.Kind != "histogram" || len(h.Series) != 1 {
+		t.Fatalf("histogram family: %+v", h)
+	}
+	if se := h.Series[0]; se.Sum != 0.5 || se.Count != 3 || se.Label("code") != "200" || se.Label("le") != "" {
+		t.Errorf("histogram series: %+v", se)
+	}
+	if f := snap.Family("rpc_seconds_bucket"); f != nil {
+		t.Errorf("histogram buckets leaked into their own family: %+v", f)
 	}
 }
 

@@ -30,22 +30,13 @@ type SeriesSnap struct {
 	Labels map[string]string `json:"labels,omitempty"`
 	// Value is the folded counter or gauge value.
 	Value float64 `json:"value,omitempty"`
-	// Histogram fields. Buckets carry the finite upper bounds only; the
-	// implicit +Inf bucket's cumulative count equals Count.
-	Sum     float64  `json:"sum,omitempty"`
-	Count   uint64   `json:"count,omitempty"`
-	Buckets []Bucket `json:"buckets,omitempty"`
 	// Summary (quantile histogram) fields. Centroids are the occupied
 	// log-buckets (non-cumulative, mergeable); Quantiles are precomputed
 	// points derived from them at gather time.
+	Sum       float64         `json:"sum,omitempty"`
+	Count     uint64          `json:"count,omitempty"`
 	Centroids []Centroid      `json:"centroids,omitempty"`
 	Quantiles []QuantilePoint `json:"quantiles,omitempty"`
-}
-
-// Bucket is one cumulative histogram bucket.
-type Bucket struct {
-	LE    float64 `json:"le"`
-	Count uint64  `json:"count"`
 }
 
 // gather folds every family's shards into a deterministically ordered
@@ -87,20 +78,6 @@ func (r *Registry) gather() *Snapshot {
 				for _, g := range se.gauges {
 					ss.Value += g.v
 				}
-			case KindHistogram:
-				cum := make([]uint64, len(f.buckets)+1)
-				for _, h := range se.hists {
-					for i, c := range h.counts {
-						cum[i] += c
-					}
-					ss.Sum += h.sum
-					ss.Count += h.total
-				}
-				running := uint64(0)
-				for i, b := range f.buckets {
-					running += cum[i]
-					ss.Buckets = append(ss.Buckets, Bucket{LE: b, Count: running})
-				}
 			case KindQuantile:
 				merged := &QuantileHistogram{}
 				for _, q := range se.quants {
@@ -121,8 +98,8 @@ func (r *Registry) gather() *Snapshot {
 }
 
 // MergeSnapshots combines snapshots into one: same-kind families unify and
-// series with identical labels fold by summation (bucket layouts must
-// match). Distinguish runs with const labels (app="sssp") before merging.
+// series with identical labels fold by summation. Distinguish runs with
+// const labels (app="sssp") before merging.
 func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
 	type mf struct {
 		FamilySnap
@@ -164,7 +141,6 @@ func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
 				if !ok {
 					m.byKey[k] = len(m.Series)
 					cp := se
-					cp.Buckets = append([]Bucket(nil), se.Buckets...)
 					cp.Centroids = append([]Centroid(nil), se.Centroids...)
 					cp.Quantiles = append([]QuantilePoint(nil), se.Quantiles...)
 					m.Series = append(m.Series, cp)
@@ -174,15 +150,6 @@ func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
 				dst.Value += se.Value
 				dst.Sum += se.Sum
 				dst.Count += se.Count
-				if len(dst.Buckets) != len(se.Buckets) {
-					return nil, fmt.Errorf("telemetry: merge: family %q bucket layouts differ", f.Name)
-				}
-				for bi := range dst.Buckets {
-					if dst.Buckets[bi].LE != se.Buckets[bi].LE {
-						return nil, fmt.Errorf("telemetry: merge: family %q bucket bounds differ", f.Name)
-					}
-					dst.Buckets[bi].Count += se.Buckets[bi].Count
-				}
 				if len(dst.Centroids) > 0 || len(se.Centroids) > 0 {
 					dst.Centroids = mergeCentroids(dst.Centroids, se.Centroids)
 					dst.Quantiles = dst.Quantiles[:0]
@@ -221,7 +188,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 
 // WritePrometheus encodes the snapshot in the Prometheus text exposition
 // format (version 0.0.4): families ordered by name, series by label
-// signature, histograms expanded into _bucket/_sum/_count.
+// signature, summaries expanded into quantile points, _sum and _count.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
 	for _, f := range s.Families {
@@ -231,14 +198,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Kind)
 		for _, se := range f.Series {
 			switch f.Kind {
-			case "histogram":
-				for _, bk := range se.Buckets {
-					fmt.Fprintf(&b, "%s_bucket%s %d\n",
-						f.Name, labelString(se.Labels, "le", formatFloat(bk.LE)), bk.Count)
-				}
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.Name, labelString(se.Labels, "le", "+Inf"), se.Count)
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.Name, labelString(se.Labels, "", ""), formatFloat(se.Sum))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.Name, labelString(se.Labels, "", ""), se.Count)
 			case "summary":
 				for _, qp := range se.Quantiles {
 					fmt.Fprintf(&b, "%s%s %s\n",
@@ -299,7 +258,7 @@ func (ss SeriesSnap) QuantileValue(p float64) float64 {
 }
 
 // labelString renders {k="v",...}, optionally appending one extra pair
-// (the histogram le label). Returns "" when there is nothing to render.
+// (the summary quantile label). Returns "" when there is nothing to render.
 func labelString(labels map[string]string, extraKey, extraVal string) string {
 	if len(labels) == 0 && extraKey == "" {
 		return ""

@@ -1,5 +1,5 @@
 // Package telemetry is Vidi's stdlib-only observability layer: a typed
-// metrics registry (counters, gauges, fixed-bucket histograms) with
+// metrics registry (counters, gauges, log-bucketed quantile histograms) with
 // Prometheus text and JSON snapshot encoders, and a span/event tracer keyed
 // to simulation cycles that emits Chrome trace_event JSON loadable in
 // Perfetto or chrome://tracing.
@@ -12,7 +12,7 @@
 // between a nil sink and an active one.
 //
 // The hot path is lock-free by ownership, not by atomics: every call to
-// Sink.Counter (Gauge, Histogram) returns a fresh shard registered under
+// Sink.Counter (Gauge, Quantile) returns a fresh shard registered under
 // the shared series identity, and each shard is owned by exactly one
 // instrumentation site. A simulation runs entirely on its caller's
 // goroutine, so a module's Eval/Tick shard mutation is plain
@@ -93,17 +93,6 @@ func (s *Sink) Gauge(name, help string, labels ...Label) *Gauge {
 		return nil
 	}
 	return s.reg.gauge(name, help, s.withConsts(labels))
-}
-
-// Histogram registers (or extends) a fixed-bucket histogram series and
-// returns a new shard owned by the caller. buckets are the inclusive upper
-// bounds, strictly ascending and finite; a +Inf overflow bucket is
-// implicit. Returns nil on a nil sink.
-func (s *Sink) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	if s == nil {
-		return nil
-	}
-	return s.reg.histogram(name, help, buckets, s.withConsts(labels))
 }
 
 // Quantile registers (or extends) a log-bucketed quantile histogram series

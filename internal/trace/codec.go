@@ -393,28 +393,3 @@ func (c *crcReader) checkCRC(site string) error {
 // trace store exchanges with external storage (§3.3). The AWS F1 platform
 // exposes CPU-side DRAM at 64-byte granularity.
 const StoragePacketSize = 64
-
-// PackStorage splits a byte stream into fixed-size storage-interface
-// packets, padding the final packet with zeros. It returns the packets and
-// the number of meaningful bytes (for unpadding). FrameStream/DeframeStream
-// are the hardened equivalents carrying sequence numbers and CRCs.
-func PackStorage(body []byte) ([][StoragePacketSize]byte, int) {
-	n := (len(body) + StoragePacketSize - 1) / StoragePacketSize
-	out := make([][StoragePacketSize]byte, n)
-	for i := 0; i < n; i++ {
-		copy(out[i][:], body[i*StoragePacketSize:])
-	}
-	return out, len(body)
-}
-
-// UnpackStorage reassembles a byte stream from storage packets.
-func UnpackStorage(pkts [][StoragePacketSize]byte, length int) []byte {
-	out := make([]byte, 0, len(pkts)*StoragePacketSize)
-	for i := range pkts {
-		out = append(out, pkts[i][:]...)
-	}
-	if length > len(out) {
-		length = len(out)
-	}
-	return out[:length]
-}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -316,30 +315,6 @@ func TestEventsAndTransactions(t *testing.T) {
 	}
 	if tr.FindEnd(2, 0) != 1 || tr.FindEnd(2, 1) != -1 {
 		t.Fatal("FindEnd wrong")
-	}
-}
-
-func TestPackUnpackStorage(t *testing.T) {
-	f := func(seed int64, n uint16) bool {
-		r := rand.New(rand.NewSource(seed))
-		body := make([]byte, int(n)%500)
-		r.Read(body)
-		pkts, length := PackStorage(body)
-		return bytes.Equal(UnpackStorage(pkts, length), body)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStoragePacketCount(t *testing.T) {
-	pkts, _ := PackStorage(make([]byte, 65))
-	if len(pkts) != 2 {
-		t.Fatalf("65 bytes should need 2 packets, got %d", len(pkts))
-	}
-	pkts, _ = PackStorage(nil)
-	if len(pkts) != 0 {
-		t.Fatal("empty body should pack to zero packets")
 	}
 }
 
