@@ -33,11 +33,11 @@ func init() {
 		}
 		a.buildKernel = func(a *computeApp) {
 			a.kern.Compute = func() int {
-				train := unpackBits(a.card()[AuxBase:], st.nTrain, digitWords)
-				labels := append([]byte(nil), a.card()[AuxBase+uint64(st.nTrain*digitWords*8):AuxBase+uint64(st.nTrain*digitWords*8+st.nTrain)]...)
-				queries := unpackBits(a.card()[InBase:], st.nTest, digitWords)
+				train := unpackBits(a.load(AuxBase, st.nTrain*digitWords*8), st.nTrain, digitWords)
+				labels := a.load(AuxBase+uint64(st.nTrain*digitWords*8), st.nTrain)
+				queries := unpackBits(a.load(InBase, st.nTest*digitWords*8), st.nTest, digitWords)
 				out, work := knnClassify(queries, train, labels)
-				copy(a.card()[OutBase:], out)
+				a.store(OutBase, out)
 				return work/4 + 30 // 4 distance words per cycle
 			}
 		}

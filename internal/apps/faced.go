@@ -35,17 +35,15 @@ func init() {
 		a.buildKernel = func(a *computeApp) {
 			frame := 0
 			a.kern.Compute = func() int {
-				img := append([]byte(nil), a.card()[InBase:InBase+uint64(st.imgW*st.imgH)]...)
-				dets, work := cascadeDetect(img, st.imgW, st.imgH)
-				binary.LittleEndian.PutUint32(a.card()[OutBase+uint64(frame*4):], uint32(len(dets)))
-				off := OutBase + 0x1000 + uint64(frame*2048)
-				for i, d := range dets {
-					if i >= 512 {
-						break
-					}
-					binary.LittleEndian.PutUint16(a.card()[off+uint64(i*4):], uint16(d%st.imgW))
-					binary.LittleEndian.PutUint16(a.card()[off+uint64(i*4)+2:], uint16(d/st.imgW))
+				dets, work := cascadeDetect(a.load(InBase, st.imgW*st.imgH), st.imgW, st.imgH)
+				a.store(OutBase+uint64(frame*4), binary.LittleEndian.AppendUint32(nil, uint32(len(dets))))
+				n := min(len(dets), 512) // the 2 KiB region holds 512 positions
+				pos := make([]byte, 0, 4*n)
+				for _, d := range dets[:n] {
+					pos = binary.LittleEndian.AppendUint16(pos, uint16(d%st.imgW))
+					pos = binary.LittleEndian.AppendUint16(pos, uint16(d/st.imgW))
 				}
+				a.store(OutBase+0x1000+uint64(frame*2048), pos)
 				frame++
 				// The sketch cascade has 6 stages; a production Viola-Jones
 				// detector evaluates ~90x more rectangle features per

@@ -177,5 +177,19 @@ func (a *computeApp) runOnce(cpu *shell.CPU, input []byte, outBytes int) {
 	}
 }
 
-// card returns the card DRAM.
-func (a *computeApp) card() axi.SliceMem { return a.sys.CardDRAM }
+// load copies n bytes of card DRAM at addr. The compute apps address fixed
+// regions inside card DRAM, so a range error is a programming error.
+func (a *computeApp) load(addr uint64, n int) []byte {
+	b := make([]byte, n)
+	if err := a.sys.CardDRAM.ReadAt(addr, b); err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// store writes p to card DRAM at addr; a range error panics as in load.
+func (a *computeApp) store(addr uint64, p []byte) {
+	if err := a.sys.CardDRAM.WriteAt(addr, p); err != nil {
+		panic(err)
+	}
+}

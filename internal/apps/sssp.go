@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"vidi/internal/axi"
 	"vidi/internal/shell"
 	"vidi/internal/sim"
 )
@@ -31,21 +32,23 @@ func init() {
 		}
 		a.buildKernel = func(a *computeApp) {
 			a.kern.Compute = func() int {
-				nEdges := int(binary.LittleEndian.Uint32(a.card()[InBase:]))
-				src := binary.LittleEndian.Uint32(a.card()[InBase+4:])
-				edges := make([]edge, nEdges)
-				for i := range edges {
-					off := InBase + 8 + uint64(i*12)
-					edges[i] = edge{
-						from: binary.LittleEndian.Uint32(a.card()[off:]),
-						to:   binary.LittleEndian.Uint32(a.card()[off+4:]),
-						w:    binary.LittleEndian.Uint32(a.card()[off+8:]),
+				var dist []uint32
+				work := 0
+				if edges, src, err := loadGraph(a.sys.CardDRAM, st.nodes); err == nil {
+					dist, work = bellmanFord(st.nodes, edges, src)
+				} else {
+					// A malformed edge list relaxes nothing: every node
+					// stays unreachable.
+					dist = make([]uint32, st.nodes)
+					for i := range dist {
+						dist[i] = ssspInf
 					}
 				}
-				dist, work := bellmanFord(st.nodes, edges, src)
-				for i, d := range dist {
-					binary.LittleEndian.PutUint32(a.card()[OutBase+uint64(i*4):], d)
+				out := make([]byte, 0, 4*len(dist))
+				for _, d := range dist {
+					out = binary.LittleEndian.AppendUint32(out, d)
 				}
+				a.store(OutBase, out)
 				// The accelerator answers ssspQueries independent queries
 				// per invocation at one edge relaxation per cycle.
 				return work*ssspQueries + 100
@@ -88,6 +91,42 @@ func init() {
 		}
 		return a
 	})
+}
+
+// loadGraph decodes the edge list the host DMAs to InBase: an edge count,
+// the source node, then (from, to, weight) triples. Replay fills card DRAM
+// from the trace, so every field is checked: the count must fit in the
+// memory and every node id must name one of the graph's nodes.
+func loadGraph(mem *axi.PagedMem, nodes int) ([]edge, uint32, error) {
+	hdr := make([]byte, 8)
+	if err := mem.ReadAt(InBase, hdr); err != nil {
+		return nil, 0, err
+	}
+	nEdges := uint64(binary.LittleEndian.Uint32(hdr))
+	src := binary.LittleEndian.Uint32(hdr[4:])
+	if room := (mem.Size() - InBase - 8) / 12; nEdges > room {
+		return nil, 0, fmt.Errorf("sssp: %d edges do not fit in card DRAM (room for %d)", nEdges, room)
+	}
+	if src >= uint32(nodes) {
+		return nil, 0, fmt.Errorf("sssp: source node %d out of range (%d nodes)", src, nodes)
+	}
+	raw := make([]byte, nEdges*12)
+	if err := mem.ReadAt(InBase+8, raw); err != nil {
+		return nil, 0, err
+	}
+	edges := make([]edge, nEdges)
+	for i := range edges {
+		e := edge{
+			from: binary.LittleEndian.Uint32(raw[i*12:]),
+			to:   binary.LittleEndian.Uint32(raw[i*12+4:]),
+			w:    binary.LittleEndian.Uint32(raw[i*12+8:]),
+		}
+		if e.from >= uint32(nodes) || e.to >= uint32(nodes) {
+			return nil, 0, fmt.Errorf("sssp: edge %d (%d->%d) out of range (%d nodes)", i, e.from, e.to, nodes)
+		}
+		edges[i] = e
+	}
+	return edges, src, nil
 }
 
 // ssspQueries is the number of independent shortest-path queries one

@@ -93,7 +93,11 @@ func (a *stressApp) DoneFPGA() bool { return a.pl.Pcim.Idle() && a.pl.Irq.Idle()
 
 // Check implements App.
 func (a *stressApp) Check() error {
-	got := binary.LittleEndian.Uint32(a.sys.HostDRAM[stressHostDigest+uint64((a.core.flushes-1)*4):])
+	buf := make([]byte, 4)
+	if err := a.sys.HostDRAM.ReadAt(stressHostDigest+uint64((a.core.flushes-1)*4), buf); err != nil {
+		return fmt.Errorf("stress: %w", err)
+	}
+	got := binary.LittleEndian.Uint32(buf)
 	if got != a.core.digest {
 		return fmt.Errorf("stress: host digest %#x, FPGA digest %#x", got, a.core.digest)
 	}

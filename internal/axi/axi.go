@@ -12,7 +12,6 @@ package axi
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"vidi/internal/sim"
 )
@@ -274,34 +273,3 @@ func strbBits(mask []byte, n int) []byte {
 	}
 	return out
 }
-
-// Mem is the byte-addressable backing store used by subordinate engines.
-type Mem interface {
-	ReadAt(addr uint64, p []byte) error
-	WriteAt(addr uint64, p []byte) error
-	Size() uint64
-}
-
-// SliceMem is a trivial in-process Mem.
-type SliceMem []byte
-
-// ReadAt implements Mem.
-func (m SliceMem) ReadAt(addr uint64, p []byte) error {
-	if addr+uint64(len(p)) > uint64(len(m)) {
-		return fmt.Errorf("axi: read [%#x,%#x) out of range (size %#x)", addr, addr+uint64(len(p)), len(m))
-	}
-	copy(p, m[addr:])
-	return nil
-}
-
-// WriteAt implements Mem.
-func (m SliceMem) WriteAt(addr uint64, p []byte) error {
-	if addr+uint64(len(p)) > uint64(len(m)) {
-		return fmt.Errorf("axi: write [%#x,%#x) out of range (size %#x)", addr, addr+uint64(len(p)), len(m))
-	}
-	copy(m[addr:], p)
-	return nil
-}
-
-// Size implements Mem.
-func (m SliceMem) Size() uint64 { return uint64(len(m)) }

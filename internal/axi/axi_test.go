@@ -62,8 +62,8 @@ func TestRPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSliceMemBounds(t *testing.T) {
-	m := make(SliceMem, 16)
+func TestPagedMemBounds(t *testing.T) {
+	m := NewPagedMem(16)
 	if err := m.WriteAt(12, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestSliceMemBounds(t *testing.T) {
 
 // buildWriteSystem wires a WriteManager to a MemSubordinate over a full AXI
 // interface with a protocol checker installed.
-func buildWriteSystem(t *testing.T, seed int64) (*sim.Simulator, *WriteManager, *ReadManager, SliceMem) {
+func buildWriteSystem(t *testing.T, seed int64) (*sim.Simulator, *WriteManager, *ReadManager, *PagedMem) {
 	t.Helper()
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 4096)
+	mem := NewPagedMem(4096)
 	wm := NewWriteManager("wm", iface)
 	rm := NewReadManager("rm", iface)
 	sub := NewMemSubordinate("mem", iface, mem)
@@ -119,21 +119,21 @@ func TestWriteBurstReachesMemory(t *testing.T) {
 	if _, err := s.Run(1000, func() bool { return done }); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(mem[256:256+130], data) {
+	if !bytes.Equal(memBytes(t, mem, 256, 130), data) {
 		t.Fatal("memory content wrong after burst write")
 	}
 	// Bytes beyond the partial beat are zero-strobed and must be untouched.
-	for i := 256 + 130; i < 256+192; i++ {
-		if mem[i] != 0 {
-			t.Fatalf("byte %d written beyond strobe", i)
+	for i, b := range memBytes(t, mem, 256+130, 62) {
+		if b != 0 {
+			t.Fatalf("byte %d written beyond strobe", 256+130+i)
 		}
 	}
 }
 
 func TestStrobeMasksBytes(t *testing.T) {
 	s, wm, _, mem := buildWriteSystem(t, 0)
-	for i := range mem {
-		mem[i] = 0xee
+	if err := mem.WriteAt(0, bytes.Repeat([]byte{0xee}, int(mem.Size()))); err != nil {
+		t.Fatal(err)
 	}
 	data := make([]byte, 64)
 	strb := make([]byte, 64)
@@ -148,34 +148,39 @@ func TestStrobeMasksBytes(t *testing.T) {
 	if _, err := s.Run(1000, func() bool { return done }); err != nil {
 		t.Fatal(err)
 	}
+	got := memBytes(t, mem, 0, 64)
 	for i := 0; i < 64; i++ {
 		want := byte(0xee)
 		if i%2 == 0 {
 			want = byte(i + 1)
 		}
-		if mem[i] != want {
-			t.Fatalf("byte %d: got %#x want %#x", i, mem[i], want)
+		if got[i] != want {
+			t.Fatalf("byte %d: got %#x want %#x", i, got[i], want)
 		}
 	}
 }
 
 func TestReadBurstReturnsMemory(t *testing.T) {
 	s, _, rm, mem := buildWriteSystem(t, 0)
-	for i := 0; i < 256; i++ {
-		mem[512+i] = byte(i ^ 0x5a)
+	want := make([]byte, 256)
+	for i := range want {
+		want[i] = byte(i ^ 0x5a)
+	}
+	if err := mem.WriteAt(512, want); err != nil {
+		t.Fatal(err)
 	}
 	var got []byte
 	rm.Push(ReadOp{Addr: 512, Beats: 4, Done: func(data []byte, resp uint8) { got = data }})
 	if _, err := s.Run(1000, func() bool { return got != nil }); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, []byte(mem[512:512+256])) {
+	if !bytes.Equal(got, want) {
 		t.Fatal("read data mismatch")
 	}
 }
 
 func TestJitteredWritesKeepProtocolAndOrder(t *testing.T) {
-	s, wm, rm, mem := buildWriteSystem(t, 99)
+	s, wm, rm, _ := buildWriteSystem(t, 99)
 	const n = 8
 	completions := 0
 	for i := 0; i < n; i++ {
@@ -198,7 +203,6 @@ func TestJitteredWritesKeepProtocolAndOrder(t *testing.T) {
 			t.Fatalf("byte %d: got %#x", i, got[i])
 		}
 	}
-	_ = mem
 }
 
 func TestRegSubordinateDispatch(t *testing.T) {
@@ -238,7 +242,7 @@ func TestRegSubordinateDispatch(t *testing.T) {
 func TestTokenBucketThrottlesBandwidth(t *testing.T) {
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 1<<16)
+	mem := NewPagedMem(1 << 16)
 	wm := NewWriteManager("wm", iface)
 	sub := NewMemSubordinate("mem", iface, mem)
 	// 16 bytes/cycle: a 64-byte beat every 4 cycles on average.
@@ -313,7 +317,7 @@ func TestBRespOnlyAfterAWAndW(t *testing.T) {
 	// completed — the ordering requirement of Fig 2 in the paper.
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 4096)
+	mem := NewPagedMem(4096)
 	wm := NewWriteManager("wm", iface)
 	sub := NewMemSubordinate("mem", iface, mem)
 	rng := sim.NewRand(5)

@@ -10,7 +10,7 @@ import (
 func TestMaxLengthBurst(t *testing.T) {
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 1<<13)
+	mem := NewPagedMem(1 << 13)
 	wm := NewWriteManager("wm", iface)
 	rm := NewReadManager("rm", iface)
 	sub := NewMemSubordinate("mem", iface, mem)
@@ -27,7 +27,7 @@ func TestMaxLengthBurst(t *testing.T) {
 	if _, err := s.Run(5000, func() bool { return done }); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal([]byte(mem[:len(data)]), data) {
+	if !bytes.Equal(memBytes(t, mem, 0, len(data)), data) {
 		t.Fatal("max burst corrupted")
 	}
 	var got []byte
@@ -43,9 +43,13 @@ func TestMaxLengthBurst(t *testing.T) {
 func TestMultipleOutstandingReads(t *testing.T) {
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 1<<12)
-	for i := range mem {
-		mem[i] = byte(i ^ 0x3c)
+	contents := make([]byte, 1<<12)
+	for i := range contents {
+		contents[i] = byte(i ^ 0x3c)
+	}
+	mem := NewPagedMem(uint64(len(contents)))
+	if err := mem.WriteAt(0, contents); err != nil {
+		t.Fatal(err)
 	}
 	rm := NewReadManager("rm", iface)
 	sub := NewMemSubordinate("mem", iface, mem)
@@ -68,7 +72,7 @@ func TestMultipleOutstandingReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if !bytes.Equal(results[i], []byte(mem[i*128:i*128+128])) {
+		if !bytes.Equal(results[i], contents[i*128:i*128+128]) {
 			t.Fatalf("read %d out of order or corrupted", i)
 		}
 	}
@@ -115,7 +119,7 @@ func TestRegSubordinateBackToBackOps(t *testing.T) {
 func TestWriteManagerLinkGating(t *testing.T) {
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 1<<14)
+	mem := NewPagedMem(1 << 14)
 	wm := NewWriteManager("wm", iface)
 	link := NewTokenBucket("link", 8, 64) // 8 B/cy: one beat per 8 cycles
 	wm.Link = link
@@ -202,7 +206,7 @@ func TestLitePayloadWidthsMatchChannelWidths(t *testing.T) {
 func TestMemSubordinateOutOfRangeRecordsError(t *testing.T) {
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 64)
+	mem := NewPagedMem(64)
 	wm := NewWriteManager("wm", iface)
 	sub := NewMemSubordinate("mem", iface, mem)
 	s.Register(wm, sub)

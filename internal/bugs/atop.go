@@ -143,6 +143,8 @@ type PingPongApp struct {
 	pongsIssued int
 	pongsDone   int
 	Sent        []byte
+	// Err records the first out-of-range ping index's card DRAM error.
+	Err error
 }
 
 // HostPongBase is where pongs land in host DRAM.
@@ -167,11 +169,16 @@ func (a *PingPongApp) Build(sys *shell.System) {
 	regs := axi.NewRegSubordinate("pong-regs", sys.OCL)
 	regs.OnWrite = func(addr uint64, val uint32) {
 		if addr == 0 {
-			idx := int(val)
+			idx := uint64(val)
+			// The ping index comes off the ocl bus, which a replayed trace
+			// drives: an index past card DRAM pongs zeros and is kept in
+			// Err, as MemSubordinate does.
 			buf := make([]byte, 256)
-			copy(buf, sys.CardDRAM[idx*256:])
+			if err := sys.CardDRAM.ReadAt(idx*256, buf); err != nil && a.Err == nil {
+				a.Err = err
+			}
 			a.pong.Push(axi.WriteOp{
-				Addr: HostPongBase + uint64(idx*256),
+				Addr: HostPongBase + idx*256,
 				Data: buf,
 				Done: func(uint8) { a.pongsDone++ },
 			})

@@ -2,6 +2,7 @@ package bugs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -182,7 +183,10 @@ func TestPingPongRecordsAndVerifiesPongs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := []byte(sys.HostDRAM[HostPongBase : HostPongBase+uint64(len(app.Sent))])
+	got := make([]byte, len(app.Sent))
+	if err := sys.HostDRAM.ReadAt(HostPongBase, got); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, app.Sent) {
 		t.Fatal("pongs in host DRAM differ from pings")
 	}
@@ -223,6 +227,55 @@ func TestMutatedTraceDeadlocksBuggyFilter(t *testing.T) {
 	appFixed := &PingPongApp{BuggyFilter: false, Pings: 6}
 	if _, _, err := runPingPong(t, appFixed, core.Options{Mode: core.ModeReplay}, 8, mustCopy(t, mutated), 1_000_000); err != nil {
 		t.Fatalf("fixed filter should survive the mutated trace: %v", err)
+	}
+}
+
+// editContent returns a copy of tr in which edit has rewritten, in place,
+// the content of the n-th transaction on channel ch; the copy still
+// validates.
+func editContent(t *testing.T, tr *trace.Trace, ch string, n int, edit func(c []byte)) *trace.Trace {
+	t.Helper()
+	c := mustCopy(t, tr)
+	txns := c.Index()[c.Meta.ChannelByName(ch)]
+	edit(txns[n].Content) // contents alias the packets
+	if err := c.Validate(); err != nil {
+		t.Fatalf("edited trace no longer validates: %v", err)
+	}
+	return c
+}
+
+// TestHostileAddressesKeepAnError replays traces whose pcis read address
+// (echo server) or ocl ping index (ping-pong server) points past card
+// DRAM. Each app moves zeros and keeps the first range error, as
+// MemSubordinate does, instead of panicking.
+func TestHostileAddressesKeepAnError(t *testing.T) {
+	echo := &EchoApp{Frames: 8}
+	_, sh, err := runEcho(t, echo, core.Options{Mode: core.ModeRecord, ValidateOutputs: true}, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := editContent(t, sh.Trace(), "pcis.AR", 0, func(c []byte) { binary.LittleEndian.PutUint64(c, 0x3FFFF0) })
+	echo2 := &EchoApp{Frames: 8}
+	if _, _, err := runEcho(t, echo2, core.Options{Mode: core.ModeReplay}, 3, bad); err != nil {
+		t.Fatal(err)
+	}
+	if echo2.front.Err == nil {
+		t.Fatal("echo server: read past card DRAM kept no error")
+	}
+
+	pp := &PingPongApp{Pings: 3}
+	_, sh, err = runPingPong(t, pp, core.Options{Mode: core.ModeRecord, ValidateOutputs: true}, 8, nil, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad = editContent(t, sh.Trace(), "ocl.W", 0, func(c []byte) { binary.LittleEndian.PutUint32(c, 0xFFFFFF) })
+	pp2 := &PingPongApp{Pings: 3}
+	_, _, err = runPingPong(t, pp2, core.Options{Mode: core.ModeReplay}, 8, bad, 300_000)
+	if err != nil && !errors.Is(err, sim.ErrDeadlock) {
+		t.Fatal(err)
+	}
+	if pp2.Err == nil {
+		t.Fatal("ping-pong server: ping index past card DRAM kept no error")
 	}
 }
 

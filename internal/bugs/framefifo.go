@@ -221,8 +221,11 @@ type echoFront struct {
 	sim.EvalTracker
 	iface *axi.Interface
 	fifo  *FrameFIFO
-	card  axi.SliceMem
+	card  *axi.PagedMem
 	regs  *echoRegs
+	// Err records the first out-of-range card DRAM access, as
+	// MemSubordinate.Err does; the access itself moves zeros.
+	Err error
 
 	awBuf []axi.AWPayload
 	wBuf  []axi.WPayload
@@ -328,7 +331,7 @@ func (e *echoFront) Tick() {
 			if !ok {
 				break
 			}
-			binary.LittleEndian.PutUint32(e.card[1<<20+int(e.drained)*4:], v)
+			e.keep(e.card.WriteAt(1<<20+uint64(e.drained)*4, binary.LittleEndian.AppendUint32(nil, v)))
 			e.drained++
 		}
 		// Progress counts fragments that left the ingress stage; drops are
@@ -360,11 +363,18 @@ func (e *echoFront) Tick() {
 		beats := int(ar.Len) + 1
 		for i := 0; i < beats; i++ {
 			data := make([]byte, axi.FullDataBytes)
-			copy(data, e.card[int(ar.Addr)+i*64:])
+			e.keep(e.card.ReadAt(ar.Addr+uint64(i*64), data))
 			e.rBts = append(e.rBts, axi.RPayload{Data: data, Resp: axi.RespOKAY, Last: i == beats-1}.Encode(false))
 		}
 		e.rCur = e.rBts[0]
 		e.rBts = e.rBts[1:]
 		e.rAct = true
+	}
+}
+
+// keep records err if it is the front's first card DRAM error.
+func (e *echoFront) keep(err error) {
+	if err != nil && e.Err == nil {
+		e.Err = err
 	}
 }

@@ -198,7 +198,7 @@ func TestRecordedTraceCountsMatch(t *testing.T) {
 		t.Fatalf("end counts %v, want [15 15 30]", counts)
 	}
 	// Input transactions carry content.
-	txns := tr.Transactions(0)
+	txns := tr.Index()[0]
 	if len(txns) != 15 {
 		t.Fatalf("reconstructed %d add transactions", len(txns))
 	}
@@ -405,10 +405,10 @@ func TestMoveEndBeforeReordersTrace(t *testing.T) {
 	_, tr, _, _ := runRecorded(t, 17, Options{Mode: ModeRecord, ValidateOutputs: true}, 10)
 	xi := tr.Meta.ChannelByName("xor")
 	ai := tr.Meta.ChannelByName("add")
-	movedContent := tr.Transactions(xi)[5].Content
+	movedContent := tr.Index()[xi][5].Content
 	xorBefore := 0
 	addPkt := tr.FindEnd(ai, 2)
-	for _, tx := range tr.Transactions(xi) {
+	for _, tx := range tr.Index()[xi] {
 		if tx.EndPacket < addPkt {
 			xorBefore++
 		}
@@ -421,7 +421,7 @@ func TestMoveEndBeforeReordersTrace(t *testing.T) {
 	addPkt = tr.FindEnd(ai, 2)
 	nowBefore := 0
 	foundMoved := false
-	for _, tx := range tr.Transactions(xi) {
+	for _, tx := range tr.Index()[xi] {
 		if tx.EndPacket < addPkt {
 			nowBefore++
 			if bytes.Equal(tx.Content, movedContent) {
@@ -433,7 +433,7 @@ func TestMoveEndBeforeReordersTrace(t *testing.T) {
 		t.Fatalf("mutation failed: %d→%d xor ends before add#2, moved content found=%v",
 			xorBefore, nowBefore, foundMoved)
 	}
-	if got := len(tr.Transactions(xi)); got != 10 {
+	if got := len(tr.Index()[xi]); got != 10 {
 		t.Fatalf("mutation changed transaction count: %d", got)
 	}
 	if err := tr.Validate(); err != nil {

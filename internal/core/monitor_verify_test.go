@@ -118,7 +118,7 @@ func runMonitorSchedule(payloads [][]byte, mask uint32, bits int, drain int, gap
 	if err := tr.Validate(); err != nil {
 		return fmt.Errorf("trace structure: %w", err)
 	}
-	txns := tr.Transactions(0)
+	txns := tr.Index()[0]
 	if len(txns) != len(payloads) {
 		return fmt.Errorf("trace has %d transactions, want %d", len(txns), len(payloads))
 	}

@@ -48,7 +48,7 @@ func MoveEndBefore(t *trace.Trace, ch string, n uint64, before string, m uint64)
 	var startContent []byte
 	startPkt := -1
 	if t.Meta.Channels[ci].Dir == trace.Input {
-		txns := t.Transactions(ci)
+		txns := t.Index()[ci]
 		if n >= uint64(len(txns)) {
 			return fmt.Errorf("core: channel %s has %d transactions, wanted #%d", ch, len(txns), n)
 		}

@@ -132,10 +132,10 @@ func Compare(ref, val *trace.Trace) (*Report, error) {
 	rep := &Report{RefTransactions: ref.TotalTransactions()}
 
 	// Content and count comparison on output channels.
+	refIdx, valIdx := ref.Index(), val.Index()
 	for _, ci := range ref.Meta.OutputChannels() {
 		name := ref.Meta.Channels[ci].Name
-		rt := ref.Transactions(ci)
-		vt := val.Transactions(ci)
+		rt, vt := refIdx[ci], valIdx[ci]
 		if len(rt) != len(vt) {
 			rep.Divergences = append(rep.Divergences, Divergence{
 				Kind: CountDivergence, Channel: ci, Name: name,

@@ -29,15 +29,18 @@ func TestDebugDMAReplay(t *testing.T) {
 		}
 	}
 	// Did the replayed pcis writes land in card DRAM?
-	sum := 0
-	for _, b := range rep.Sys.CardDRAM[0x10_0000 : 0x10_0000+2048] {
-		sum += int(b)
+	checksum := func(addr uint64) int {
+		buf := make([]byte, 2048)
+		if err := rep.Sys.CardDRAM.ReadAt(addr, buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for _, b := range buf {
+			sum += int(b)
+		}
+		return sum
 	}
-	t.Logf("replay: cycles=%d InBase checksum=%d", rep.Cycles, sum)
-	sum = 0
-	for _, b := range rep.Sys.CardDRAM[0x20_0000 : 0x20_0000+2048] {
-		sum += int(b)
-	}
-	t.Logf("replay: OutBase checksum=%d", sum)
+	t.Logf("replay: cycles=%d InBase checksum=%d", rep.Cycles, checksum(0x10_0000))
+	t.Logf("replay: OutBase checksum=%d", checksum(0x20_0000))
 	_ = fmt.Sprint
 }

@@ -48,8 +48,8 @@ func loadFuzzReplayBases() ([]fuzzReplayBase, error) {
 }
 
 // mutateTrace applies 1–3 mutations drawn from ops to a copy of tr: flip a
-// Starts or Ends bit, drop or duplicate a packet, or drop a content entry.
-// Missing op bytes read as zero.
+// Starts or Ends bit, drop or duplicate a packet, drop a content entry, or
+// overwrite up to 8 bytes of one. Missing op bytes read as zero.
 func mutateTrace(tr *trace.Trace, ops []byte) *trace.Trace {
 	next := func() int {
 		if len(ops) == 0 {
@@ -62,7 +62,7 @@ func mutateTrace(tr *trace.Trace, ops []byte) *trace.Trace {
 	out := trace.NewTrace(tr.Meta)
 	out.Packets = append(out.Packets, tr.Packets...)
 	for n := 1 + next()%3; n > 0 && len(out.Packets) > 0; n-- {
-		kind := next() % 5
+		kind := next() % 6
 		pi := (next()<<8 | next()) % len(out.Packets)
 		p := out.Packets[pi]
 		switch kind {
@@ -88,6 +88,17 @@ func mutateTrace(tr *trace.Trace, ops []byte) *trace.Trace {
 				p.Contents = append(append([][]byte(nil), p.Contents[:ci]...), p.Contents[ci+1:]...)
 				out.Packets[pi] = p
 			}
+		case 5: // overwrite bytes of one content entry: addresses, lengths, data
+			if len(p.Contents) > 0 {
+				ci := next() % len(p.Contents)
+				c := append([]byte(nil), p.Contents[ci]...)
+				for off, n := next(), 1+next()%8; n > 0 && len(c) > 0; off, n = off+1, n-1 {
+					c[off%len(c)] = byte(next())
+				}
+				p.Contents = append([][]byte(nil), p.Contents...)
+				p.Contents[ci] = c
+				out.Packets[pi] = p
+			}
 		}
 	}
 	return out
@@ -104,6 +115,7 @@ func FuzzReplayVerify(f *testing.F) {
 		f.Add(app, []byte{0, 1, 0, 9, 1})    // flip an Ends bit
 		f.Add(app, []byte{1, 2, 0, 3, 3, 1}) // drop one packet, duplicate another
 		f.Add(app, []byte{2, 4, 0, 7, 0, 1, 0, 2, 0, 4, 0, 0, 0})
+		f.Add(app, []byte{0, 5, 0, 2, 0, 0, 3, 0xf0, 0xff, 0x3f}) // overwrite content bytes
 	}
 	f.Fuzz(func(t *testing.T, app uint8, ops []byte) {
 		bases, err := loadFuzzReplayBases()

@@ -35,8 +35,9 @@ func TestReplayPacingInvariance(t *testing.T) {
 	}
 	// Same per-channel contents and counts (timings may differ; behaviour
 	// must not).
+	slowIdx, fastIdx := slow.Index(), fast.Index()
 	for ci := range slow.Meta.Channels {
-		st, ft := slow.Transactions(ci), fast.Transactions(ci)
+		st, ft := slowIdx[ci], fastIdx[ci]
 		if len(st) != len(ft) {
 			t.Fatalf("channel %s: %d vs %d transactions", slow.Meta.Channels[ci].Name, len(st), len(ft))
 		}

@@ -172,7 +172,10 @@ func (d *pipeline) LossErr() error {
 // runs only). A buggy FrameFIFO that dropped fragments shifts the write-back
 // stream, so the comparison fails — the end-to-end data oracle.
 func (d *pipeline) EchoErr() error {
-	got := []byte(d.sys.HostDRAM[OutBase : OutBase+len(d.Sent)])
+	got := make([]byte, len(d.Sent))
+	if err := d.sys.HostDRAM.ReadAt(OutBase, got); err != nil {
+		return fmt.Errorf("fuzz: echo read-back: %w", err)
+	}
 	for i := range got {
 		if got[i] != d.Sent[i] {
 			return fmt.Errorf("fuzz: echo mismatch at byte %d (dropped fragments: %d)",
@@ -199,7 +202,10 @@ func (d *pipeline) GoldenErr() error {
 	for i, v := range pred {
 		binary.LittleEndian.PutUint32(want[i*fragBytes:], v)
 	}
-	got := []byte(d.sys.HostDRAM[OutBase : OutBase+len(want)])
+	got := make([]byte, len(want))
+	if err := d.sys.HostDRAM.ReadAt(OutBase, got); err != nil {
+		return fmt.Errorf("fuzz: golden read-back: %w", err)
+	}
 	for i := range got {
 		if got[i] != want[i] {
 			return fmt.Errorf(

@@ -2,6 +2,8 @@ package shell
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"testing"
 
 	"vidi/internal/axi"
@@ -116,7 +118,7 @@ func TestCPURegisterAndDMAOps(t *testing.T) {
 	if !bytes.Equal(dmaBack, data) {
 		t.Fatal("DMA round trip corrupted data")
 	}
-	if !bytes.Equal([]byte(sys.CardDRAM[0x1000:0x1000+300]), data) {
+	if got := make([]byte, len(data)); sys.CardDRAM.ReadAt(0x1000, got) != nil || !bytes.Equal(got, data) {
 		t.Fatal("DMA write did not land in card DRAM")
 	}
 }
@@ -214,7 +216,7 @@ func TestPCIMWritesReachHostDRAM(t *testing.T) {
 	if _, err := sys.Sim.Run(50000, func() bool { return done }); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal([]byte(sys.HostDRAM[0x2000:0x2000+128]), payload) {
+	if got := make([]byte, len(payload)); sys.HostDRAM.ReadAt(0x2000, got) != nil || !bytes.Equal(got, payload) {
 		t.Fatal("pcim write did not reach host DRAM")
 	}
 }
@@ -291,4 +293,26 @@ func TestSameSeedIdenticalWaveforms(t *testing.T) {
 	if c := run(22); bytes.Equal(a, c) {
 		t.Fatal("different seed produced identical waveforms (jitter not seeded)")
 	}
+}
+
+// TestNewSystemAllocatesLittle guards the lazily paged DRAMs: building a
+// platform with two 4 MiB memories must not pay for them up front. The
+// minimum over a few builds discards allocations made by anything else.
+func TestNewSystemAllocatesLittle(t *testing.T) {
+	const limit = 1 << 20
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		sys := NewSystem(Config{Seed: int64(i)})
+		runtime.ReadMemStats(&m1)
+		if sys.HostDRAM.Size() != 4<<20 || sys.CardDRAM.Size() != 4<<20 {
+			t.Fatalf("DRAM sizes %d, %d; want 4 MiB each", sys.HostDRAM.Size(), sys.CardDRAM.Size())
+		}
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if least >= limit {
+		t.Fatalf("NewSystem allocated %d bytes, want under %d", least, limit)
+	}
+	t.Logf("NewSystem allocated %d bytes", least)
 }

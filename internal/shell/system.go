@@ -79,8 +79,10 @@ type System struct {
 	DDR    *axi.Interface
 	DDRSub *axi.MemSubordinate
 
-	HostDRAM axi.SliceMem
-	CardDRAM axi.SliceMem
+	// HostDRAM and CardDRAM are lazily paged: a page is allocated on its
+	// first write, and unwritten bytes read as zero.
+	HostDRAM *axi.PagedMem
+	CardDRAM *axi.PagedMem
 	PCIe     *axi.TokenBucket
 
 	CPU *CPU
@@ -112,8 +114,8 @@ func NewSystem(cfg Config) *System {
 		Sim:      s,
 		Boundary: core.NewBoundary(),
 		Cfg:      cfg,
-		HostDRAM: make(axi.SliceMem, cfg.HostDRAMBytes),
-		CardDRAM: make(axi.SliceMem, cfg.CardDRAMBytes),
+		HostDRAM: axi.NewPagedMem(uint64(cfg.HostDRAMBytes)),
+		CardDRAM: axi.NewPagedMem(uint64(cfg.CardDRAMBytes)),
 		PCIe:     axi.NewTokenBucket("pcie", cfg.PCIeBytesPerCycle, 512),
 	}
 	s.Register(sys.PCIe)

@@ -72,13 +72,12 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			return
 		}
-		// A successfully decoded trace must be navigable without panicking.
+		// A successfully decoded trace must be navigable without panicking,
+		// and its transaction index must match the reference
+		// reconstruction.
 		_ = tr.SizeBytes()
 		_ = tr.TotalTransactions()
-		_ = tr.Events()
-		for ci := range tr.Meta.Channels {
-			_ = tr.Transactions(ci)
-		}
+		CheckIndex(t, tr)
 	})
 }
 

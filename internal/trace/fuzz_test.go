@@ -42,14 +42,12 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		// A successfully decoded trace must be internally navigable
-		// without panicking.
+		// without panicking, and its transaction index must match the
+		// reference reconstruction.
 		_ = got.SizeBytes()
 		_ = got.TotalTransactions()
-		_ = got.Events()
 		_ = got.Summary()
-		for ci := range got.Meta.Channels {
-			_ = got.Transactions(ci)
-		}
+		CheckIndex(t, got)
 	})
 }
 

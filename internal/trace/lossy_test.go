@@ -67,7 +67,8 @@ func TestLossyAccounting(t *testing.T) {
 	if got := tr.UnrecordedTransactions(); got != 1 {
 		t.Fatalf("UnrecordedTransactions = %d, want 1", got)
 	}
-	txns := tr.Transactions(3) // pcim.AW
+	idx := tr.Index()
+	txns := idx[3] // pcim.AW
 	if len(txns) != 2 {
 		t.Fatalf("pcim.AW transactions = %d, want 2", len(txns))
 	}
@@ -78,7 +79,7 @@ func TestLossyAccounting(t *testing.T) {
 		t.Fatalf("gap output end should have nil content, got %x", txns[1].Content)
 	}
 	// Input content inside the gap is preserved: replay needs it.
-	w := tr.Transactions(1) // ocl.W
+	w := idx[1] // ocl.W
 	if len(w) != 1 || !bytes.Equal(w[0].Content, []byte{5, 6, 7, 8}) {
 		t.Fatalf("gap input content not preserved: %+v", w)
 	}

@@ -305,11 +305,12 @@ func TestEventsAndTransactions(t *testing.T) {
 	if len(ends) != 2 {
 		t.Fatalf("end events %d", len(ends))
 	}
-	txns := tr.Transactions(0)
+	idx := tr.Index()
+	txns := idx[0]
 	if len(txns) != 1 || txns[0].StartPacket != 0 || txns[0].EndPacket != 1 {
 		t.Fatalf("ch0 txns %+v", txns)
 	}
-	otxns := tr.Transactions(2)
+	otxns := idx[2]
 	if len(otxns) != 1 || otxns[0].EndPacket != 1 || otxns[0].Content[0] != 0xB {
 		t.Fatalf("ch2 txns %+v", otxns)
 	}

@@ -54,26 +54,29 @@ func (t *Trace) Events() []Event {
 				k++
 			}
 		}
-		// Output contents, when present, follow the input-start contents.
-		// Lossy (gap-region) packets carry no output contents: their end
-		// events surface with nil Content.
-		outContent := map[int][]byte{}
-		if m.ValidateOutputs && !p.Lossy {
-			for _, ci := range m.OutputChannels() {
-				if p.Ends.Get(ci) {
-					outContent[ci] = p.Contents[k]
-					k++
-				}
-			}
-		}
 		for ci := 0; ci < m.NumChannels(); ci++ {
 			if p.Ends.Get(ci) {
-				out = append(out, Event{Packet: pi, Channel: ci, Kind: EndEvent, Content: outContent[ci], Ordinal: endOrd[ci]})
+				content := p.endContent(m, ci, &k)
+				out = append(out, Event{Packet: pi, Channel: ci, Kind: EndEvent, Content: content, Ordinal: endOrd[ci]})
 				endOrd[ci]++
 			}
 		}
 	}
 	return out
+}
+
+// endContent returns the content of channel ci's end event in packet p and
+// advances the content cursor k past it. Output contents, when present,
+// follow the input-start contents in channel order; input ends carry none,
+// and lossy (gap-region) packets carry no output contents, so those end
+// events have nil Content.
+func (p *CyclePacket) endContent(m *Meta, ci int, k *int) []byte {
+	if !m.ValidateOutputs || p.Lossy || m.Channels[ci].Dir != Output {
+		return nil
+	}
+	c := p.Contents[*k]
+	*k++
+	return c
 }
 
 // Txn is one reconstructed transaction.
@@ -85,26 +88,40 @@ type Txn struct {
 	Content     []byte // nil when the trace does not carry content
 }
 
-// Transactions reconstructs the transactions of channel ch in order.
-func (t *Trace) Transactions(ch int) []Txn {
-	var out []Txn
-	openIdx := -1
-	for _, ev := range t.Events() {
-		if ev.Channel != ch {
-			continue
-		}
-		switch ev.Kind {
-		case StartEvent:
-			out = append(out, Txn{Channel: ch, Ordinal: uint64(len(out)), StartPacket: ev.Packet, EndPacket: -1, Content: ev.Content})
-			openIdx = len(out) - 1
-		case EndEvent:
-			if openIdx >= 0 && out[openIdx].EndPacket == -1 {
-				out[openIdx].EndPacket = ev.Packet
-				openIdx = -1
-			} else {
-				// Output channels record ends only.
-				out = append(out, Txn{Channel: ch, Ordinal: uint64(len(out)), StartPacket: -1, EndPacket: ev.Packet, Content: ev.Content})
+// Index reconstructs every channel's transactions in one pass over the
+// packets: Index()[ch] lists channel ch's transactions in order. A start
+// opens a transaction and the channel's next end completes it; an end with
+// no open transaction (output channels record ends only) is a transaction
+// of its own. Contents alias the trace's packets.
+func (t *Trace) Index() [][]Txn {
+	m := t.Meta
+	out := make([][]Txn, m.NumChannels())
+	// open[ci] is the index in out[ci] of the transaction awaiting its end,
+	// or -1.
+	open := make([]int, m.NumChannels())
+	for ci := range open {
+		open[ci] = -1
+	}
+	for pi, p := range t.Packets {
+		k := 0
+		for ii, ci := range m.InputChannels() {
+			if p.Starts.Get(ii) {
+				open[ci] = len(out[ci])
+				out[ci] = append(out[ci], Txn{Channel: ci, Ordinal: uint64(len(out[ci])), StartPacket: pi, EndPacket: -1, Content: p.Contents[k]})
+				k++
 			}
+		}
+		for ci := range out {
+			if !p.Ends.Get(ci) {
+				continue
+			}
+			content := p.endContent(m, ci, &k)
+			if o := open[ci]; o >= 0 {
+				out[ci][o].EndPacket = pi
+				open[ci] = -1
+				continue
+			}
+			out[ci] = append(out[ci], Txn{Channel: ci, Ordinal: uint64(len(out[ci])), StartPacket: -1, EndPacket: pi, Content: content})
 		}
 	}
 	return out
@@ -126,9 +143,15 @@ func (t *Trace) EndEvents() []Event {
 // FindEnd locates the packet index of the n-th end event (0-based) on
 // channel ch, or -1 if the trace has fewer.
 func (t *Trace) FindEnd(ch int, n uint64) int {
-	for _, ev := range t.EndEvents() {
-		if ev.Channel == ch && ev.Ordinal == n {
-			return ev.Packet
+	if ch < 0 || ch >= t.Meta.NumChannels() {
+		return -1
+	}
+	for pi, p := range t.Packets {
+		if p.Ends.Get(ch) {
+			if n == 0 {
+				return pi
+			}
+			n--
 		}
 	}
 	return -1
